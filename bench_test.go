@@ -120,8 +120,10 @@ func BenchmarkArrestmentGoldenRun(b *testing.B) {
 	}
 }
 
-// --- Snapshot/fast-forward engine benchmarks (the BENCH_PR4 ledger
-// rows; cmd/bench runs these same shapes and writes BENCH_PR4.json) ---
+// --- Snapshot/fast-forward engine benchmarks (one-shot go test
+// readings; the repeated-sample measurements of the same paths are the
+// target.* and inject.* rows of `bash benchmark/run.sh --trace 1`, see
+// benchmark/README.md) ---
 
 // BenchmarkSnapshotCaptureRestore measures one checkpoint cycle: a
 // full capture of the target (417 B RAM + 1008 B stack per node,

@@ -88,10 +88,26 @@ func main() {
 		}
 		return
 	}
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "fic:", err)
 		os.Exit(1)
 	}
+}
+
+// checkScale rejects the scale flags shared by campaigns and `fic
+// optimize` when they are not positive. The library reads a zero grid,
+// window or period as "use the paper default", so passing one through
+// would silently run the full-scale protocol.
+func checkScale(grid int, observe, period int64) error {
+	switch {
+	case grid < 1:
+		return fmt.Errorf("-grid must be at least 1, got %d", grid)
+	case observe < 1:
+		return fmt.Errorf("-observe must be at least 1 ms, got %d", observe)
+	case period < 1:
+		return fmt.Errorf("-period must be at least 1 ms, got %d", period)
+	}
+	return nil
 }
 
 // runWorker is the `fic worker` subcommand: attach to a ficd service
@@ -126,36 +142,40 @@ func runWorker(args []string) error {
 	return w.Run(ctx)
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("fic", flag.ExitOnError)
 	var (
-		experimentF = flag.String("experiment", "", "campaign to run: e1, e2 or all")
-		printF      = flag.String("print", "", "static output: table4, table6 or figure2")
-		grid        = flag.Int("grid", 5, "test-case grid edge (5 = the paper's 25 cases)")
-		seed        = flag.Int64("seed", 2000, "campaign seed")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		recovery    = flag.String("recovery", "none", "assertion recovery: none (paper) or previous")
-		period      = flag.Int64("period", 20, "injection period in ms")
-		start       = flag.Int64("start", 500, "first injection time in ms")
-		observe     = flag.Int64("observe", 40000, "observation period in ms")
-		verify      = flag.Bool("verify", false, "verify the fault-free grid is detection-free before running")
-		jsonPath    = flag.String("json", "", "also write machine-readable results to this file")
-		journalF    = flag.String("journal", "", "record every completed run to this JSONL journal")
-		resumeF     = flag.String("resume", "", "resume an interrupted campaign from its journal (keeps appending to it)")
-		progressF   = flag.Bool("progress", false, "render a periodic progress line on stderr")
-		metricsF    = flag.Bool("metrics", false, "print a final JSON metrics block (runs/sec, wall time, per-worker utilization)")
-		engineF     = flag.String("engine", "auto", "execution engine: auto, literal, snapshot or memo")
-		formatF     = flag.String("format", "text", "stdout report format: text (the paper's tables) or json")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile (post-GC, on exit) to this file")
+		experimentF = fs.String("experiment", "", "campaign to run: e1, e2 or all")
+		printF      = fs.String("print", "", "static output: table4, table6 or figure2")
+		grid        = fs.Int("grid", 5, "test-case grid edge (5 = the paper's 25 cases)")
+		seed        = fs.Int64("seed", 2000, "campaign seed")
+		workers     = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		recovery    = fs.String("recovery", "none", "assertion recovery: none (paper) or previous")
+		period      = fs.Int64("period", 20, "injection period in ms")
+		start       = fs.Int64("start", 500, "first injection time in ms")
+		observe     = fs.Int64("observe", 40000, "observation period in ms")
+		verify      = fs.Bool("verify", false, "verify the fault-free grid is detection-free before running")
+		jsonPath    = fs.String("json", "", "also write machine-readable results to this file")
+		journalF    = fs.String("journal", "", "record every completed run to this JSONL journal")
+		resumeF     = fs.String("resume", "", "resume an interrupted campaign from its journal (keeps appending to it)")
+		progressF   = fs.Bool("progress", false, "render a periodic progress line on stderr")
+		metricsF    = fs.Bool("metrics", false, "print a final JSON metrics block (runs/sec, wall time, per-worker utilization)")
+		engineF     = fs.String("engine", "auto", "execution engine: auto, literal, snapshot or memo")
+		formatF     = fs.String("format", "text", "stdout report format: text (the paper's tables) or json")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile (post-GC, on exit) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if err := checkScale(*grid, *observe, *period); err != nil {
+		return err
+	}
 
 	experiment := *experimentF
-	if flag.NArg() == 1 && experiment == "" {
+	if fs.NArg() == 1 && experiment == "" {
 		// `fic exhaustive` (and friends) as a positional command.
-		experiment = flag.Arg(0)
-	} else if flag.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q", flag.Args())
+		experiment = fs.Arg(0)
+	} else if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 
 	switch *printF {

@@ -46,6 +46,9 @@ func runOptimize(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
+	if err := checkScale(*grid, *observe, *period); err != nil {
+		return err
+	}
 
 	mode, err := inject.ParseMode(*engineF)
 	if err != nil {

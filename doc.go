@@ -39,13 +39,20 @@
 // interruption with byte-identical tables (CampaignConfig.Journal /
 // Resume / Progress). Results render through a pluggable
 // reporter (CampaignReporter: a ReportFormat paired with a
-// ReportOutput), and campaigns distribute across machines through the
-// ficd service — shard plans, lease boards and shard-journal merges
-// (PlanShards, ShardBoard, MergeShards) whose merged tables are
-// byte-identical to a single-process run. See the cmd/fic, cmd/ficd
-// and cmd/arrest tools, the examples directory, EXPERIMENTS.md for
-// paper-versus-measured results, ARCHITECTURE.md for the package map,
-// the run-loop data flow and the determinism contract behind campaign
-// resume, and SERVICE.md for the campaign service's API reference and
-// operator's manual.
+// ReportOutput). See the cmd/fic, cmd/ficd and cmd/arrest tools, the
+// examples directory, EXPERIMENTS.md for paper-versus-measured
+// results, ARCHITECTURE.md for the package map, the run-loop data flow
+// and the determinism contract behind campaign resume, and SERVICE.md
+// for the ficd campaign service, which distributes campaigns across
+// machines with byte-identical merged tables.
+//
+// # What this package exports
+//
+// This package is the API of the examples, cmd/arrest, cmd/sigmon and
+// fic's campaign path. It re-exports the names those callers use, the
+// types named in their signatures, and whole families (the versions,
+// engine modes, placements, recovery policies, monitor constructors,
+// table renderers and report formats). The ficd and sigmond services,
+// fic optimize, fic worker and the repository benchmark import the
+// internal packages directly; their names are not re-exported here.
 package easig

@@ -85,8 +85,6 @@ var (
 	WithSink = core.WithSink
 	// WithInitialMode selects the initially active signal mode.
 	WithInitialMode = core.WithInitialMode
-	// WithPrevStore relocates the monitor's previous-value state.
-	WithPrevStore = core.WithPrevStore
 )
 
 // NewContinuousMonitor builds a single-mode monitor for a continuous
@@ -124,12 +122,9 @@ type SinkFunc = core.SinkFunc
 // Recorder is a DetectionSink storing every violation.
 type Recorder = core.Recorder
 
-// MultiSink fans violations out to several sinks.
-func MultiSink(sinks ...DetectionSink) DetectionSink { return core.MultiSink(sinks...) }
-
 // RecoveryPolicy decides the replacement value after a violation (the
 // paper's "the signal can be returned to a valid state"; the §3.4
-// campaigns run detection-only, see DetectionOnly).
+// campaigns run detection-only, with NoRecovery).
 type RecoveryPolicy = core.RecoveryPolicy
 
 // Recovery policies.
@@ -144,9 +139,6 @@ type (
 	// ResetTo recovers to one fixed safe value.
 	ResetTo = core.ResetTo
 )
-
-// PrevStore abstracts where a monitor keeps the previous value s'.
-type PrevStore = core.PrevStore
 
 // CheckContinuous runs the Table 2 assertion chain statelessly.
 func CheckContinuous(p Continuous, prev, s int64) (TestID, bool) {
@@ -167,9 +159,6 @@ type CalibrationOptions = core.CalibrationOptions
 
 // ContinuousCalibrator proposes Pcont sets from fault-free traces.
 type ContinuousCalibrator = core.ContinuousCalibrator
-
-// DiscreteCalibrator proposes Pdisc sets from fault-free traces.
-type DiscreteCalibrator = core.DiscreteCalibrator
 
 // EnvelopeTracker derives dynamic continuous constraints from a
 // reference signal (the paper's §2.1 "dynamic constraints" extension).
@@ -197,13 +186,3 @@ func WithEscalation(threshold int, window, quiet int64, onAlarm func(Alarm)) Sui
 
 // MonitorStats is one monitor's accounting snapshot from a Suite.
 type MonitorStats = core.MonitorStats
-
-// ModeLink wires a monitored mode variable to the monitors whose
-// parameter sets depend on it (paper §2.1).
-type ModeLink = core.ModeLink
-
-// NewModeLink builds a mode link from a discrete mode monitor to its
-// dependents.
-func NewModeLink(mode *Monitor, dependents ...*Monitor) (*ModeLink, error) {
-	return core.NewModeLink(mode, dependents...)
-}

@@ -13,10 +13,10 @@ import (
 
 // The runner/reporter split: campaigns produce Results, and a Reporter
 // — a Format (how results render) paired with an Output (where the
-// rendering goes) — turns them into the paper's tables. fic, the ficd
-// service and cmd/bench all render through this one path, so the text a
-// CI job diffs, the body an HTTP client downloads and the tables an
-// operator reads in a terminal are byte-identical by construction.
+// rendering goes) — turns them into the paper's tables. fic and the
+// ficd service both render through this one path, so the text a CI job
+// diffs, the body an HTTP client downloads and the tables an operator
+// reads in a terminal are byte-identical by construction.
 
 // Results bundles the outputs of a campaign (one or both experiments)
 // with the Spec that produced them — everything a Format needs to

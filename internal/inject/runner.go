@@ -41,12 +41,13 @@ type Runner interface {
 //
 // These counters are the observable side of the pruning/memoization
 // claims PERFORMANCE.md makes: the ~96% exhaustive-census prune rate
-// and the memo-vs-snapshot speedup gate in cmd/bench both read
-// RunnerStats, and `fic -metrics` reports them per campaign. Pruned
-// and MemoHits may only ever replace simulations whose outcomes are
-// provably identical (see Liveness's soundness argument and the
-// stateDeltaHash contract) — a prune or memo hit that could change a
-// Table 7-9 cell would be a correctness bug, not a tuning choice.
+// and the repository benchmark's exhaustive_census workload (see
+// benchmark/README.md) both read RunnerStats, and `fic -metrics`
+// reports them per campaign. Pruned and MemoHits may only ever
+// replace simulations whose outcomes are provably identical (see
+// Liveness's soundness argument and the stateDeltaHash contract) — a
+// prune or memo hit that could change a Table 7-9 cell would be a
+// correctness bug, not a tuning choice.
 type RunnerStats struct {
 	Errors    int
 	Simulated int

@@ -101,8 +101,9 @@ func New(cfg Config) (*Service, error) {
 // NewUnstarted builds a service whose shard goroutines are not
 // running: Ingest enqueues as usual and the caller applies the queued
 // chunks itself with DrainQueued. This is the measurement harness for
-// the zero-allocation and throughput gates (testing.AllocsPerRun and
-// cmd/bench), where the whole ingest->monitor path must run on one
+// the zero-allocation gates (testing.AllocsPerRun) and the repository
+// benchmark's per-layer stream rows (benchmark/README.md), where the
+// whole ingest->monitor path must run on one
 // deterministic goroutine; it is not a serving mode.
 func NewUnstarted(cfg Config) (*Service, error) {
 	return newService(cfg, false)

@@ -107,3 +107,30 @@ func TestRestoreRejectsForeignPlant(t *testing.T) {
 		t.Fatal("restore accepted a snapshot from a different test case")
 	}
 }
+
+// TestCaptureRestoreZeroAlloc gates the checkpoint cycle every snapshot-
+// and memo-engine error run starts from: once the state buffers exist,
+// capturing into them and restoring from them must not touch the heap.
+func TestCaptureRestoreZeroAlloc(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{
+		TestCase: physics.TestCase{MassKg: 14000, VelocityMS: 55},
+		Seed:     1,
+		Version:  VersionAll,
+		Recovery: core.NoRecovery{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.RunMs(1000) // past the priming transient
+	var st SystemState
+	sys.Capture(&st) // sizes the buffers
+	avg := testing.AllocsPerRun(200, func() {
+		sys.Capture(&st)
+		if err := sys.Restore(&st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("capture+restore allocates %.1f objects per cycle, want 0", avg)
+	}
+}

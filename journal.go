@@ -1,10 +1,6 @@
 package easig
 
-import (
-	"io"
-
-	"easig/internal/journal"
-)
+import "easig/internal/journal"
 
 // Campaign observability: re-exports of the internal/journal subsystem
 // that makes the paper's 27 400-run protocol (§3.4: E1's 22 400 runs
@@ -24,13 +20,6 @@ type JournalWriter = journal.Writer
 // the journaled runs.
 type JournalLog = journal.Log
 
-// JournalHeader is a journal's campaign identification line.
-type JournalHeader = journal.Header
-
-// JournalRecord is one journaled run: its coordinates in the campaign
-// grid, the derived per-run seed, and the Table 7-9 readouts.
-type JournalRecord = journal.Record
-
 // ProgressEvent is one campaign progress sample (throughput,
 // completed/total, ETA), delivered to CampaignConfig.Progress after
 // every completed or replayed run.
@@ -40,9 +29,6 @@ type ProgressEvent = journal.ProgressEvent
 // replayed run counts, wall time, throughput and per-worker
 // utilization. Campaign results carry one in their Metrics field.
 type CampaignMetrics = journal.Metrics
-
-// WorkerMetrics is one pool worker's share of a campaign.
-type WorkerMetrics = journal.WorkerMetrics
 
 // CreateJournal opens a fresh journal at path, truncating any previous
 // file.
@@ -55,14 +41,3 @@ func OpenJournal(path string) (*JournalWriter, error) { return journal.Open(path
 // LoadJournal reads a journal file, tolerating the truncated final
 // line a killed campaign leaves behind.
 func LoadJournal(path string) (*JournalLog, error) { return journal.Load(path) }
-
-// ReadJournal parses journal lines from any reader — the path behind
-// ficd's shard-journal uploads, where the journal arrives as an HTTP
-// body instead of a file.
-func ReadJournal(r io.Reader) (*JournalLog, error) { return journal.Read(r) }
-
-// JournalClaim is one shard-ledger line of a distributed campaign: a
-// lease grant ("claim") or a shard completion ("shard_done"). The ficd
-// service appends these to its per-campaign ledger and replays them on
-// restart to recover the lease board (see SERVICE.md).
-type JournalClaim = journal.Claim

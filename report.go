@@ -1,18 +1,11 @@
 package easig
 
-import (
-	"time"
+import "easig/internal/experiment"
 
-	"easig/internal/experiment"
-	"easig/internal/journal"
-)
-
-// The runner/reporter split and the distributed-campaign surface:
-// re-exports of the internal/experiment sharding and reporting
-// subsystems behind the ficd campaign service (see SERVICE.md).
-// Campaigns produce CampaignResults; a ReportFormat paired with a
-// ReportOutput renders them — fic's stdout tables, ficd's HTTP result
-// bodies and cmd/bench's table artifacts all go through this one path,
+// The runner/reporter split: re-exports of the internal/experiment
+// reporting subsystem. Campaigns produce CampaignResults; a
+// ReportFormat paired with a ReportOutput renders them — fic's stdout
+// tables and ficd's HTTP result bodies both go through this one path,
 // so they are byte-identical by construction.
 
 // CampaignResults bundles the outputs of a campaign (one or both
@@ -51,50 +44,3 @@ type (
 // "journal"/"jsonl") — the value of fic's -format flag and ficd's
 // ?format query parameter — to its ReportFormat.
 func ParseReportFormat(name string) (ReportFormat, error) { return experiment.ParseFormat(name) }
-
-// Shard is one claimable work unit of a distributed campaign: a block
-// of global test-case indices plus the run count it contributes.
-// Sharding is by test case because per-run seeds depend only on the
-// campaign seed and the global case index, which makes shard journals
-// byte-identical to the same runs of a single-process campaign.
-type Shard = experiment.Shard
-
-// ShardStatus is one shard's observable lease state (pending, leased
-// or done), as rendered by ficd's campaign status endpoint.
-type ShardStatus = experiment.ShardStatus
-
-// ShardBoard is the lease state machine of one distributed campaign:
-// pending -> leased (Claim) -> done (Complete), with leased -> pending
-// on lease expiry. See SERVICE.md for the full protocol.
-type ShardBoard = experiment.ShardBoard
-
-// NewShardBoard builds a lease board over a shard plan.
-func NewShardBoard(campaign, exp string, shards []Shard, lease time.Duration, record func(JournalClaim) error) *ShardBoard {
-	return experiment.NewShardBoard(campaign, exp, shards, lease, record)
-}
-
-// PlanShards cuts a campaign Spec into shards of casesPerShard
-// contiguous test cases. The plan is a pure function of its inputs, so
-// every process derives the same shard identifiers.
-func PlanShards(spec CampaignSpec, exp string, casesPerShard int) ([]Shard, error) {
-	return experiment.PlanShards(spec, exp, casesPerShard)
-}
-
-// MergeShards folds completed shard journals into campaign results
-// whose tables are byte-identical to a single-process run of the same
-// Spec — the distributed campaign's core guarantee.
-func MergeShards(spec CampaignSpec, exp string, mode EngineMode, logs []*JournalLog) (*CampaignResults, error) {
-	return experiment.MergeShards(spec, exp, mode, logs)
-}
-
-// ValidateShardJournal checks an uploaded shard journal against its
-// campaign: header identity, completeness, per-record seeds, and the
-// absence of foreign runs.
-func ValidateShardJournal(spec CampaignSpec, exp string, shard Shard, runner string, log *JournalLog) error {
-	return experiment.ValidateShardJournal(spec, exp, shard, runner, log)
-}
-
-// MergeJournals merges campaign journals (the per-shard logs of a
-// distributed campaign), validating their common identity and
-// dedupling re-executed runs.
-func MergeJournals(logs ...*JournalLog) (*JournalLog, error) { return journal.Merge(logs...) }

@@ -1,9 +1,6 @@
 package easig
 
 import (
-	"io"
-
-	"easig/internal/core"
 	"easig/internal/experiment"
 	"easig/internal/inject"
 	"easig/internal/physics"
@@ -11,8 +8,7 @@ import (
 )
 
 // Reproduction entry points: the paper's case study and evaluation,
-// re-exported so the examples, tools and benchmarks drive everything
-// through the public package.
+// re-exported for the examples, cmd/arrest and fic's campaign path.
 
 // TestCase is one experiment input: aircraft mass and engagement
 // velocity, a point of the §3.4 test-case grid.
@@ -59,10 +55,6 @@ func NewArrestingSystem(cfg ArrestingSystemConfig) (*ArrestingSystem, error) {
 // or a random E2 error).
 type InjectionError = inject.Error
 
-// InjectionPolicy is the time-triggered injection schedule of §3.4
-// (20 ms period at paper defaults).
-type InjectionPolicy = inject.Policy
-
 // RunConfig describes one fault-injection experiment run: one
 // <mass, velocity, error> combination against one software version.
 type RunConfig = inject.RunConfig
@@ -88,18 +80,6 @@ func BuildE2(seed int64) []InjectionError {
 // counterpart of the paper's 200-error E2 sample.
 func BuildExhaustive() []InjectionError { return inject.BuildExhaustive() }
 
-// Runner is the unified execution contract behind campaigns: literal
-// from-scratch simulation, the fast-forward snapshot engine, and the
-// memoizing/pruning runner all serve errors through it.
-type Runner = inject.Runner
-
-// RunnerStats accounts how a Runner served its errors (simulated,
-// liveness-pruned, memo hits).
-type RunnerStats = inject.RunnerStats
-
-// RunnerStatsReporter is implemented by runners that track RunnerStats.
-type RunnerStatsReporter = inject.StatsReporter
-
 // EngineMode selects the campaign execution engine.
 type EngineMode = inject.Mode
 
@@ -122,12 +102,6 @@ const (
 // ParseEngineMode parses an -engine flag value
 // (auto|literal|snapshot|memo).
 func ParseEngineMode(s string) (EngineMode, error) { return inject.ParseMode(s) }
-
-// NewRunner builds the mode's runner for one test case; campaigns
-// compose runners per worker batch through the same constructor.
-func NewRunner(mode EngineMode, cfg RunConfig) (Runner, error) {
-	return inject.NewRunner(mode, cfg)
-}
 
 // CampaignSpec is the serializable protocol half of a campaign
 // configuration: everything that determines which runs exist and what
@@ -175,28 +149,6 @@ var (
 	Figure2 = experiment.Figure2
 )
 
-// WriteJSON writes machine-readable campaign results (either argument
-// may be nil).
-func WriteJSON(w io.Writer, e1 *E1Result, e2 *E2Result) error {
-	return experiment.WriteJSON(w, e1, e2)
-}
-
-// DetectionBreakdown renders the per-constraint detection breakdown of
-// one E1 version (which Table 2/3 assertion kind fired).
-func DetectionBreakdown(e1 *E1Result, v Version) string {
-	return experiment.TestBreakdown(e1, v)
-}
-
-// ModelFit is the paper's §2.4 Pdetect model fitted from both
-// campaigns.
-type ModelFit = experiment.ModelFit
-
-// FitModel derives the §2.4 model (Pem, Pds, solved Pprop) from
-// campaign results.
-func FitModel(e1 *E1Result, e2 *E2Result) (ModelFit, error) {
-	return experiment.FitModel(e1, e2)
-}
-
 // VerifyNominal checks the §3.4 precondition: the fault-free grid is
 // detection- and failure-free for every version.
 func VerifyNominal(cfg CampaignConfig) error { return experiment.VerifyNominal(cfg) }
@@ -210,17 +162,3 @@ const (
 	PlacementConsumer = target.PlacementConsumer
 	PlacementProducer = target.PlacementProducer
 )
-
-// Headline carries the paper's abstract-level headline numbers (the
-// 74% / >99% detection probabilities) computed from campaign results.
-type Headline = experiment.Headline
-
-// ComputeHeadline extracts the headline numbers from campaign results.
-func ComputeHeadline(e1 *E1Result, e2 *E2Result) Headline {
-	return experiment.ComputeHeadline(e1, e2)
-}
-
-// DetectionOnly is the campaign default policy: violations raise the
-// detection pin but leave state unrepaired, matching the paper's
-// observed failure rates under injection.
-func DetectionOnly() RecoveryPolicy { return core.NoRecovery{} }
