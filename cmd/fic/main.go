@@ -65,6 +65,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 	"time"
 
 	"easig"
@@ -137,7 +138,7 @@ func runWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return w.Run(ctx)
 }
@@ -203,9 +204,10 @@ func run(args []string) error {
 		return fmt.Errorf("unknown -recovery %q (want none or previous)", *recovery)
 	}
 
-	// Ctrl-C cancels the campaign cleanly: in-flight runs finish, the
-	// journal keeps every completed run, and -resume picks up there.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGINT or SIGTERM cancels the campaign cleanly: in-flight runs
+	// finish, the journal keeps every completed run, and -resume picks
+	// up there.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	mode, err := easig.ParseEngineMode(*engineF)
@@ -271,48 +273,21 @@ func run(args []string) error {
 		}
 	}
 
-	if *journalF != "" && *resumeF != "" {
-		return fmt.Errorf("-journal and -resume are exclusive: a resumed campaign keeps appending to its own journal")
+	jw, log, err := openJournal(*journalF, *resumeF, "campaign")
+	if err != nil {
+		return err
 	}
-	var jw *easig.JournalWriter
-	switch {
-	case *journalF != "":
-		w, err := easig.CreateJournal(*journalF)
-		if err != nil {
-			return err
-		}
-		jw = w
-	case *resumeF != "":
-		log, err := easig.LoadJournal(*resumeF)
-		if err != nil {
-			return err
-		}
-		w, err := easig.OpenJournal(*resumeF)
-		if err != nil {
-			return err
-		}
-		jw = w
+	if log != nil {
 		cfg.Resume = log
 		fmt.Fprintf(os.Stderr, "fic: resuming from %s (%d journaled runs%s)\n",
-			*resumeF, len(log.Runs), map[bool]string{true: ", truncated tail dropped", false: ""}[log.Truncated])
+			*resumeF, len(log.Runs), truncatedNote(log))
 	}
 	if jw != nil {
 		cfg.Journal = jw
 		defer jw.Close()
 	}
-
 	if *progressF {
-		var last time.Time
-		cfg.Progress = func(ev easig.ProgressEvent) {
-			if time.Since(last) < time.Second && ev.Completed < ev.Total {
-				return
-			}
-			last = time.Now()
-			fmt.Fprintf(os.Stderr, "fic: %s %d/%d (%.1f%%) %.0f runs/s eta %s\n",
-				ev.Experiment, ev.Completed, ev.Total,
-				100*float64(ev.Completed)/float64(ev.Total),
-				ev.RunsPerSec, ev.ETA.Round(time.Second))
-		}
+		cfg.Progress = progressPrinter("runs")
 	}
 
 	if *verify {
@@ -331,13 +306,13 @@ func run(args []string) error {
 		began := time.Now()
 		fmt.Fprintf(os.Stderr, "fic: running E1 (%d errors x %d cases x 8 versions)...\n", 112, *grid**grid)
 		if e1, err = easig.RunE1(cfg); err != nil {
-			return campaignErr(err, jw, *journalF, *resumeF)
+			return interrupted(err, jw, *journalF, *resumeF, "campaign", "fic")
 		}
 		// e1.Metrics.Runs counts dispatched runs only: journal-replayed
 		// runs cost no simulation time and would inflate the throughput
 		// figure on a resumed campaign.
 		fmt.Fprintf(os.Stderr, "fic: E1 done: %d live runs in %v (%s)\n",
-			e1.Metrics.Runs, time.Since(began).Round(time.Second), metricsLine(e1.Metrics))
+			e1.Metrics.Runs, time.Since(began).Round(time.Second), metricsLine(e1.Metrics, "runs"))
 	case "e2", "exhaustive":
 	case "":
 		return fmt.Errorf("nothing to do: pass -experiment e1|e2|exhaustive|all or -print table4|table6|figure2")
@@ -353,11 +328,11 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "fic: running %s (%d errors x %d cases)...\n",
 			map[bool]string{true: "exhaustive E2", false: "E2"}[cfg.Exhaustive], nErrors, *grid**grid)
 		if e2, err = easig.RunE2(cfg); err != nil {
-			return campaignErr(err, jw, *journalF, *resumeF)
+			return interrupted(err, jw, *journalF, *resumeF, "campaign", "fic")
 		}
 		fmt.Fprintf(os.Stderr, "fic: %s done: %d live runs in %v (%s)\n",
 			map[bool]string{true: "exhaustive E2", false: "E2"}[cfg.Exhaustive],
-			e2.Metrics.Runs, time.Since(began).Round(time.Second), metricsLine(e2.Metrics))
+			e2.Metrics.Runs, time.Since(began).Round(time.Second), metricsLine(e2.Metrics, "runs"))
 	}
 	if e1 != nil || e2 != nil {
 		// All result rendering goes through the shared reporter path:
@@ -397,12 +372,61 @@ func run(args []string) error {
 	return nil
 }
 
-// metricsLine condenses a campaign's journal.Metrics into the final
+// openJournal opens the -journal/-resume target shared by campaigns and
+// sweeps: a fresh journal, or a resumed journal's loaded log plus a
+// writer that keeps appending to it. Both are nil when neither flag is
+// set. what names the interrupted unit ("campaign" or "sweep").
+func openJournal(journalPath, resumePath, what string) (*journal.Writer, *journal.Log, error) {
+	switch {
+	case journalPath != "" && resumePath != "":
+		return nil, nil, fmt.Errorf("-journal and -resume are exclusive: a resumed %s keeps appending to its own journal", what)
+	case journalPath != "":
+		w, err := journal.Create(journalPath)
+		return w, nil, err
+	case resumePath != "":
+		log, err := journal.Load(resumePath)
+		if err != nil {
+			return nil, nil, err
+		}
+		w, err := journal.Open(resumePath)
+		if err != nil {
+			return nil, nil, err
+		}
+		return w, log, nil
+	}
+	return nil, nil, nil
+}
+
+// truncatedNote is the resume line's note on a kill-truncated tail.
+func truncatedNote(log *journal.Log) string {
+	if log.Truncated {
+		return ", truncated tail dropped"
+	}
+	return ""
+}
+
+// progressPrinter renders the -progress line on stderr, at most once a
+// second and always for the last unit; unit names what is counted.
+func progressPrinter(unit string) func(journal.ProgressEvent) {
+	var last time.Time
+	return func(ev journal.ProgressEvent) {
+		if time.Since(last) < time.Second && ev.Completed < ev.Total {
+			return
+		}
+		last = time.Now()
+		fmt.Fprintf(os.Stderr, "fic: %s %d/%d (%.1f%%) %.0f %s/s eta %s\n",
+			ev.Experiment, ev.Completed, ev.Total,
+			100*float64(ev.Completed)/float64(ev.Total),
+			ev.RunsPerSec, unit, ev.ETA.Round(time.Second))
+	}
+}
+
+// metricsLine condenses a dispatch's journal.Metrics into the final
 // stderr summary: live throughput, and the replayed share on resumed
-// campaigns (replayed runs cost no simulation time, so they are kept
-// out of the runs/s figure).
-func metricsLine(m easig.CampaignMetrics) string {
-	s := fmt.Sprintf("%.0f runs/s live, %s engine", m.RunsPerSec, m.Runner)
+// runs (replayed units cost no simulation time, so they are kept out
+// of the throughput figure).
+func metricsLine(m journal.Metrics, unit string) string {
+	s := fmt.Sprintf("%.0f %s/s live, %s engine", m.RunsPerSec, unit, m.Runner)
 	if m.Pruned > 0 || m.MemoHits > 0 {
 		s += fmt.Sprintf(", %.1f%% pruned, %.1f%% memo hits", 100*m.PruneRate, 100*m.MemoHitRate)
 	}
@@ -412,9 +436,10 @@ func metricsLine(m easig.CampaignMetrics) string {
 	return s
 }
 
-// campaignErr closes the journal so every completed run is on disk,
-// then decorates an interruption with the resume hint.
-func campaignErr(err error, jw *journal.Writer, journalPath, resumePath string) error {
+// interrupted closes the journal so every completed unit is on disk,
+// then decorates an interruption with the resume hint: what names the
+// interrupted unit and cmd the command that resumes it.
+func interrupted(err error, jw *journal.Writer, journalPath, resumePath, what, cmd string) error {
 	path := journalPath
 	if path == "" {
 		path = resumePath
@@ -425,7 +450,7 @@ func campaignErr(err error, jw *journal.Writer, journalPath, resumePath string) 
 		}
 	}
 	if errors.Is(err, context.Canceled) && path != "" {
-		return fmt.Errorf("%w\nfic: campaign interrupted; resume with: fic -resume %s <same flags>", err, path)
+		return fmt.Errorf("%w\nfic: %s interrupted; resume with: %s -resume %s <same flags>", err, what, cmd, path)
 	}
 	return err
 }

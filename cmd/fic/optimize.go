@@ -2,17 +2,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"easig/internal/experiment"
 	"easig/internal/inject"
-	"easig/internal/journal"
 	"easig/internal/optimize"
 )
 
@@ -71,7 +70,7 @@ func runOptimize(args []string) error {
 		Policy:        inject.Policy{StartMs: *start, PeriodMs: *period},
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	opt := optimize.Options{
 		Mode:        mode,
@@ -81,44 +80,21 @@ func runOptimize(args []string) error {
 		Calibration: optimize.CalibrateOptions{Ticks: *calTicks, Reps: *calReps},
 	}
 
-	if *journalF != "" && *resumeF != "" {
-		return fmt.Errorf("-journal and -resume are exclusive: a resumed sweep keeps appending to its own journal")
+	jw, log, err := openJournal(*journalF, *resumeF, "sweep")
+	if err != nil {
+		return err
 	}
-	var jw *journal.Writer
-	switch {
-	case *journalF != "":
-		if jw, err = journal.Create(*journalF); err != nil {
-			return err
-		}
-	case *resumeF != "":
-		log, err := journal.Load(*resumeF)
-		if err != nil {
-			return err
-		}
-		if jw, err = journal.Open(*resumeF); err != nil {
-			return err
-		}
+	if log != nil {
 		opt.Resume = log
 		fmt.Fprintf(os.Stderr, "fic: resuming sweep from %s (%d journaled probes%s)\n",
-			*resumeF, len(log.Probes), map[bool]string{true: ", truncated tail dropped", false: ""}[log.Truncated])
+			*resumeF, len(log.Probes), truncatedNote(log))
 	}
 	if jw != nil {
 		opt.Journal = jw
 		defer jw.Close()
 	}
-
 	if *progressF {
-		var last time.Time
-		opt.Progress = func(ev journal.ProgressEvent) {
-			if time.Since(last) < time.Second && ev.Completed < ev.Total {
-				return
-			}
-			last = time.Now()
-			fmt.Fprintf(os.Stderr, "fic: %s %d/%d (%.1f%%) %.0f probes/s eta %s\n",
-				ev.Experiment, ev.Completed, ev.Total,
-				100*float64(ev.Completed)/float64(ev.Total),
-				ev.RunsPerSec, ev.ETA.Round(time.Second))
-		}
+		opt.Progress = progressPrinter("probes")
 	}
 
 	began := time.Now()
@@ -126,18 +102,10 @@ func runOptimize(args []string) error {
 		spec.Experiment(), *grid, inject.ProbeMode(mode))
 	rep, err := optimize.Run(spec, opt)
 	if err != nil {
-		return optimizeErr(err, jw, *journalF, *resumeF)
-	}
-	m := rep.Metrics
-	line := fmt.Sprintf("%.0f probes/s live, %s engine", m.RunsPerSec, m.Runner)
-	if m.Pruned > 0 || m.MemoHits > 0 {
-		line += fmt.Sprintf(", %.1f%% pruned, %.1f%% memo hits", 100*m.PruneRate, 100*m.MemoHitRate)
-	}
-	if rep.Resumed > 0 {
-		line += fmt.Sprintf(", %d replayed from journal", rep.Resumed)
+		return interrupted(err, jw, *journalF, *resumeF, "sweep", "fic optimize")
 	}
 	fmt.Fprintf(os.Stderr, "fic: sweep done: %d probes -> %d configurations in %v (%s)\n",
-		rep.Probes, rep.LatticeSize, time.Since(began).Round(time.Second), line)
+		rep.Probes, rep.LatticeSize, time.Since(began).Round(time.Second), metricsLine(rep.Metrics, "probes"))
 
 	var out experiment.Output = experiment.WriterOutput{W: os.Stdout}
 	if *outF != "" {
@@ -178,22 +146,4 @@ func parseBudgets(s string) ([]time.Duration, error) {
 		out = append(out, d)
 	}
 	return out, nil
-}
-
-// optimizeErr closes the journal so every completed probe is on disk,
-// then decorates an interruption with the resume hint.
-func optimizeErr(err error, jw *journal.Writer, journalPath, resumePath string) error {
-	path := journalPath
-	if path == "" {
-		path = resumePath
-	}
-	if jw != nil {
-		if cerr := jw.Close(); cerr != nil {
-			return cerr
-		}
-	}
-	if errors.Is(err, context.Canceled) && path != "" {
-		return fmt.Errorf("%w\nfic: sweep interrupted; resume with: fic optimize -resume %s <same flags>", err, path)
-	}
-	return err
 }

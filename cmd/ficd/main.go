@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"easig/internal/service"
@@ -83,10 +84,10 @@ func run() error {
 
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 
-	// Ctrl-C drains cleanly: in-flight uploads finish, the ledger and
+	// SIGINT or SIGTERM drains cleanly: in-flight uploads finish, the ledger and
 	// shard journals are on disk, and a restart with the same -state
 	// resumes every campaign where it left off.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()

@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"easig/internal/stream"
@@ -97,10 +98,10 @@ func run(fs *flag.FlagSet, args []string, logw *os.File) error {
 	}
 	hs := &http.Server{Handler: svc.Handler()}
 
-	// Ctrl-C drains cleanly: the listener stops, in-flight ingests
+	// SIGINT or SIGTERM drains cleanly: the listener stops, in-flight ingests
 	// finish, the shard queues are applied to the last sample, and the
 	// detection journals are flushed and closed before exit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -31,8 +32,9 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // TestServeAndInterrupt boots the real binary path: listen on an
-// ephemeral port, answer /healthz, then drain cleanly on SIGINT — the
-// lifecycle the CI smoke job scripts against.
+// ephemeral port, answer /healthz, then drain cleanly on SIGINT and on
+// SIGTERM (the signal supervisors stop services with) — the lifecycle
+// the CI smoke job scripts against.
 func TestServeAndInterrupt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a subprocess")
@@ -41,6 +43,14 @@ func TestServeAndInterrupt(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building sigmond: %v\n%s", err, out)
 	}
+	for _, sig := range []syscall.Signal{syscall.SIGINT, syscall.SIGTERM} {
+		t.Run(sig.String(), func(t *testing.T) { serveAndSignal(t, bin, sig) })
+	}
+}
+
+// serveAndSignal starts bin, waits for /healthz, sends sig, and
+// requires a clean exit that logged the drain.
+func serveAndSignal(t *testing.T, bin string, sig syscall.Signal) {
 	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-shards", "2")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -81,17 +91,28 @@ func TestServeAndInterrupt(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+	if err := cmd.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	type exit struct {
+		log []byte
+		err error
+	}
+	done := make(chan exit, 1)
+	go func() {
+		// Read stderr to EOF before Wait, which closes the pipe.
+		rest, _ := io.ReadAll(stderr)
+		done <- exit{log: rest, err: cmd.Wait()}
+	}()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("sigmond exited uncleanly on SIGINT: %v", err)
+	case e := <-done:
+		if e.err != nil {
+			t.Fatalf("sigmond exited uncleanly on %v: %v", sig, e.err)
+		}
+		if !strings.Contains(line+string(e.log), "sigmond: draining") {
+			t.Errorf("sigmond logged no drain on %v:\n%s%s", sig, line, e.log)
 		}
 	case <-time.After(15 * time.Second):
-		t.Fatal("sigmond did not drain within 15s of SIGINT")
+		t.Fatalf("sigmond did not drain within 15s of %v", sig)
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"easig/internal/core"
 	"easig/internal/inject"
@@ -282,26 +280,14 @@ func replayed(j job, rec journal.Record) outcome {
 // replayed straight into the aggregators) and live jobs still to
 // dispatch. It enforces the resume soundness checks: the journal's
 // header must match the live configuration — seed, grid AND resolved
-// runner mode — and every replayed record's stored seed must equal the
-// seed re-derived from the run coordinates. The mode check closes the
-// double-counting hole where e.g. a memo-mode journal would silently
-// extend a literal-mode campaign: the engines are equivalence-tested,
-// but a mixed-provenance table could no longer be attributed to either.
-// Journals written before the Runner API carry no mode and resume under
-// any engine.
+// runner mode (journal.Log.CheckResume) — and every replayed record's
+// stored seed must equal the seed re-derived from the run coordinates.
 func partition(cfg Config, exp string, mode inject.Mode, jobs []job) (live []job, replay []outcome, err error) {
 	if cfg.Resume == nil {
 		return jobs, nil, nil
 	}
-	if h, ok := cfg.Resume.Header(exp); ok {
-		if h.Seed != cfg.Seed || h.Grid != cfg.Grid {
-			return nil, nil, fmt.Errorf("experiment: journal was recorded for %s seed %d grid %d, not seed %d grid %d",
-				exp, h.Seed, h.Grid, cfg.Seed, cfg.Grid)
-		}
-		if h.Runner != "" && h.Runner != mode.String() {
-			return nil, nil, fmt.Errorf("experiment: journal was recorded by the %s engine, campaign resolves to %s — rerun with -engine=%s or a fresh journal",
-				h.Runner, mode, h.Runner)
-		}
+	if err := cfg.Resume.CheckResume(exp, cfg.Seed, cfg.Grid, mode.String()); err != nil {
+		return nil, nil, fmt.Errorf("experiment: %w", err)
 	}
 	byKey := cfg.Resume.Lookup(exp)
 	if len(byKey) == 0 {
@@ -422,28 +408,15 @@ func buildBatches(live []job, mode inject.Mode) []batch {
 	return batches
 }
 
-// runAll executes the live jobs across the pool and streams outcomes to
-// collect (called from a single goroutine, which also feeds the journal
-// writer and the progress hook). Batches shaped for the resolved engine
-// mode are partitioned into per-worker queues; workers claim them with
-// a lock-free cursor and steal from each other's queues when their own
-// drains (see scheduler.go). Per-case profiles are computed once per
-// campaign in an inject.ProfileCache and shared read-only by every
-// worker's runner; memo-mode workers additionally share each case's
-// outcome memo, merged at batch barriers. The first worker error
-// cancels the remaining workers via the run context, so a failing
-// campaign stops promptly and the journal records a clean interruption
-// point; the parent cfg.Context cancels the same way. The returned
-// metrics cover the live runs (resumed only sizes the progress totals)
-// and fold in the runners' prune/memo-hit accounting.
+// runAll writes the campaign header and dispatches the live jobs on
+// the grid dispatcher (Dispatch, scheduler.go), streaming outcomes to
+// collect and journaling each one. Batches are shaped for the resolved
+// engine mode; per-case profiles are computed once per campaign in an
+// inject.ProfileCache and shared read-only by every worker's runner,
+// and memo-mode workers additionally share each case's outcome memo,
+// merged at batch barriers. The returned metrics cover the live runs
+// (resumed only sizes the progress totals).
 func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, collect func(outcome)) (journal.Metrics, error) {
-	parent := cfg.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
 	total := resumed + len(jobs)
 	if cfg.Journal != nil {
 		if err := cfg.Journal.Header(journal.Header{
@@ -458,7 +431,6 @@ func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, c
 	}
 
 	batches := buildBatches(jobs, mode)
-	queues := PartitionQueues(batches, cfg.Workers)
 	cache := inject.NewProfileCache()
 	var memos map[int]*inject.SharedMemo
 	if mode == inject.ModeMemo {
@@ -470,124 +442,27 @@ func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, c
 		}
 	}
 
-	out := make(chan outcome)
-	errCh := make(chan error, 1)
-	busy := make([]time.Duration, cfg.Workers)
-	runs := make([]int, cfg.Workers)
-	stolen := make([]int, cfg.Workers)
-	rstats := make([]inject.RunnerStats, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wr := newWorkerRunners(cfg, mode, cache, memos)
-			defer func() { rstats[w] = rstats[w].Add(wr.stats()) }()
-			emit := func(o outcome) bool {
-				select {
-				case out <- o:
-					runs[w]++
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			}
-			for ctx.Err() == nil {
-				b, ok, stole := NextItem(queues, w)
-				if !ok {
-					return
-				}
-				if stole {
-					stolen[w]++
-				}
-				began := time.Now()
-				err := wr.runBatch(b, emit)
-				busy[w] += time.Since(began)
-				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	start := time.Now()
-	completed := resumed
-	var journalErr error
-	for o := range out {
-		collect(o)
-		completed++
-		if cfg.Journal != nil && journalErr == nil {
-			seed := runSeed(cfg.Seed, o.job.caseIdx)
-			if err := cfg.Journal.Run(record(exp, o, seed)); err != nil {
-				journalErr = err
-				cancel()
-			}
-		}
-		if cfg.Progress != nil {
-			ev := journal.ProgressEvent{
-				Experiment: exp,
-				Completed:  completed,
-				Resumed:    resumed,
-				Total:      total,
-				Elapsed:    time.Since(start),
-			}
-			if live := completed - resumed; ev.Elapsed > 0 && live > 0 {
-				ev.RunsPerSec = float64(live) / ev.Elapsed.Seconds()
-				ev.ETA = time.Duration(float64(total-completed) / ev.RunsPerSec * float64(time.Second))
-			}
-			cfg.Progress(ev)
-		}
-	}
-
-	wall := time.Since(start)
-	metrics := journal.Metrics{
+	pool := Pool{
+		Context:    cfg.Context,
+		Workers:    cfg.Workers,
 		Experiment: exp,
-		Runs:       completed - resumed,
-		Resumed:    resumed,
-		WallMs:     wall.Milliseconds(),
 		Runner:     mode.String(),
+		Resumed:    resumed,
+		Total:      total,
+		Progress:   cfg.Progress,
 	}
-	if wall > 0 {
-		metrics.RunsPerSec = float64(metrics.Runs) / wall.Seconds()
-	}
-	var st inject.RunnerStats
-	for _, s := range rstats {
-		st = st.Add(s)
-	}
-	metrics.Errors = st.Errors
-	metrics.Simulated = st.Simulated
-	metrics.Pruned = st.Pruned
-	metrics.MemoHits = st.MemoHits
-	metrics.PruneRate = st.PruneRate()
-	metrics.MemoHitRate = st.MemoHitRate()
-	for w := 0; w < cfg.Workers; w++ {
-		wm := journal.WorkerMetrics{Worker: w, Runs: runs[w], BusyMs: busy[w].Milliseconds(), Stolen: stolen[w]}
-		if wall > 0 {
-			wm.Utilization = float64(busy[w]) / float64(wall)
+	newWorker := func() Worker[batch, outcome] { return newWorkerRunners(cfg, mode, cache, memos) }
+	metrics, err := Dispatch(pool, batches, newWorker, func(o outcome) error {
+		collect(o)
+		if cfg.Journal == nil {
+			return nil
 		}
-		metrics.Workers = append(metrics.Workers, wm)
+		return cfg.Journal.Run(record(exp, o, runSeed(cfg.Seed, o.job.caseIdx)))
+	})
+	if err != nil && cfg.Context != nil && err == cfg.Context.Err() {
+		err = fmt.Errorf("experiment: campaign interrupted: %w", err)
 	}
-
-	switch {
-	case journalErr != nil:
-		return metrics, journalErr
-	case len(errCh) > 0:
-		return metrics, fmt.Errorf("experiment: run failed: %w", <-errCh)
-	case parent.Err() != nil:
-		return metrics, fmt.Errorf("experiment: campaign interrupted: %w", parent.Err())
-	default:
-		return metrics, nil
-	}
+	return metrics, err
 }
 
 // E1Result aggregates the E1 campaign into the cells of the paper's

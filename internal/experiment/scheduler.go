@@ -1,14 +1,20 @@
 package experiment
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"easig/internal/inject"
+	"easig/internal/journal"
 	"easig/internal/target"
 )
 
-// This file is the campaign's parallel work-stealing scheduler: how the
-// (test case × error-position) grid reaches the worker pool.
+// This file is the parallel work-stealing scheduler of every sweep over
+// the (test case × error-position) grid: Dispatch is how the campaigns'
+// batches and the optimizer's probe chunks reach the worker pool.
 //
 // Batches are partitioned upfront into per-worker queues in contiguous
 // case-major blocks, so a worker mostly stays on few test cases and its
@@ -28,7 +34,7 @@ import (
 // read-only profile. Memoized outcomes cross workers through a
 // per-case inject.SharedMemo, merged at batch barriers.
 //
-// Concurrency contract, structure by structure: WorkQueue claims are a
+// Concurrency contract, structure by structure: workQueue claims are a
 // single CAS on an atomic cursor over an immutable batch slice (no
 // locks, no ABA — the cursor only advances); CaseProfiles are immutable
 // after construction and shared read-only; SharedMemo reads are one
@@ -40,22 +46,186 @@ import (
 // worker), the §3.4 protocol's aggregates are order-independent
 // integer totals, and journal comparisons key on run coordinates.
 // TestWorkQueueConcurrentClaims gates exactly-once batch claims under
-// contention, and TestSchedulerWorkerCountEquivalence pins 1-worker vs
-// 8-worker campaigns to byte-identical tables and record sets.
+// contention, TestSchedulerWorkerCountEquivalence pins 1-worker vs
+// 8-worker campaigns to byte-identical tables and record sets, and the
+// TestDispatch* tests pin cancellation, error precedence and metrics.
 
-// WorkQueue is one worker's share of a work-item list. Take claims the
+// Worker serves work items on one goroutine of a Dispatch pool. The
+// campaign's worker serves version-run batches, the optimizer's lattice
+// sweep (internal/optimize) serves probe chunks over the same
+// (case × error) grid.
+type Worker[T, O any] interface {
+	// Serve serves one item, handing every finished unit to emit. emit
+	// reports false once the pool is canceled; Serve then returns nil.
+	Serve(item T, emit func(O) bool) error
+	// Stats folds the worker's runner statistics. Dispatch calls it
+	// once, after the worker has exited.
+	Stats() inject.RunnerStats
+}
+
+// Pool names one dispatch for its progress events and metrics, and
+// sizes and cancels its worker pool.
+type Pool struct {
+	// Context, when non-nil, cancels the dispatch.
+	Context context.Context
+	// Workers is the number of worker goroutines (at least 1).
+	Workers int
+	// Experiment and Runner label the progress events and metrics.
+	Experiment string
+	Runner     string
+	// Resumed counts the units replayed from a journal before the
+	// dispatch; Total counts every unit of the sweep, Resumed included.
+	Resumed int
+	Total   int
+	// Progress, when non-nil, is called after every collected unit.
+	Progress func(journal.ProgressEvent)
+}
+
+// Dispatch is the grid dispatcher of every sweep: it serves items on
+// p.Workers goroutines, each with its own newWorker() state, and hands
+// every unit they emit to collect on the calling goroutine, which also
+// reports progress. Items are partitioned into per-worker contiguous
+// queues with stealing (see the file comment). The first Serve error
+// cancels the pool, and so does the first collect error, after which
+// collect is not called again. The returned error is, in that order of
+// precedence, the collect error, the worker error ("run failed"), or
+// the parent context's error, returned unwrapped so the caller can say
+// what was interrupted. The metrics cover the collected units and fold
+// in the workers' runner statistics.
+func Dispatch[T, O any](p Pool, items []T, newWorker func() Worker[T, O], collect func(O) error) (journal.Metrics, error) {
+	parent := p.Context
+	if parent == nil {
+		parent = context.Background()
+	}
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+
+	queues := partitionQueues(items, p.Workers)
+	workers := make([]Worker[T, O], p.Workers)
+	out := make(chan O)
+	errCh := make(chan error, 1)
+	busy := make([]time.Duration, p.Workers)
+	runs := make([]int, p.Workers)
+	stolen := make([]int, p.Workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		w := w
+		workers[w] = newWorker()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			emit := func(o O) bool {
+				select {
+				case out <- o:
+					runs[w]++
+					return true
+				case <-ctx.Done():
+					return false
+				}
+			}
+			for ctx.Err() == nil {
+				item, ok, stole := nextItem(queues, w)
+				if !ok {
+					return
+				}
+				if stole {
+					stolen[w]++
+				}
+				began := time.Now()
+				err := workers[w].Serve(item, emit)
+				busy[w] += time.Since(began)
+				if err != nil {
+					select {
+					case errCh <- err:
+					default:
+					}
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(out)
+	}()
+
+	start := time.Now()
+	completed := p.Resumed
+	var collectErr error
+	for o := range out {
+		if collectErr != nil {
+			continue
+		}
+		if err := collect(o); err != nil {
+			collectErr = err
+			cancel()
+			continue
+		}
+		completed++
+		if p.Progress != nil {
+			ev := journal.ProgressEvent{
+				Experiment: p.Experiment,
+				Completed:  completed,
+				Resumed:    p.Resumed,
+				Total:      p.Total,
+				Elapsed:    time.Since(start),
+			}
+			if live := completed - p.Resumed; ev.Elapsed > 0 && live > 0 {
+				ev.RunsPerSec = float64(live) / ev.Elapsed.Seconds()
+				ev.ETA = time.Duration(float64(p.Total-completed) / ev.RunsPerSec * float64(time.Second))
+			}
+			p.Progress(ev)
+		}
+	}
+
+	wall := time.Since(start)
+	metrics := journal.Metrics{
+		Experiment: p.Experiment,
+		Runs:       completed - p.Resumed,
+		Resumed:    p.Resumed,
+		WallMs:     wall.Milliseconds(),
+		Runner:     p.Runner,
+	}
+	if wall > 0 {
+		metrics.RunsPerSec = float64(metrics.Runs) / wall.Seconds()
+	}
+	var st inject.RunnerStats
+	for w, wk := range workers {
+		st = st.Add(wk.Stats())
+		wm := journal.WorkerMetrics{Worker: w, Runs: runs[w], BusyMs: busy[w].Milliseconds(), Stolen: stolen[w]}
+		if wall > 0 {
+			wm.Utilization = float64(busy[w]) / float64(wall)
+		}
+		metrics.Workers = append(metrics.Workers, wm)
+	}
+	metrics.Errors = st.Errors
+	metrics.Simulated = st.Simulated
+	metrics.Pruned = st.Pruned
+	metrics.MemoHits = st.MemoHits
+	metrics.PruneRate = st.PruneRate()
+	metrics.MemoHitRate = st.MemoHitRate()
+
+	switch {
+	case collectErr != nil:
+		return metrics, collectErr
+	case len(errCh) > 0:
+		return metrics, fmt.Errorf("experiment: run failed: %w", <-errCh)
+	default:
+		return metrics, parent.Err()
+	}
+}
+
+// workQueue is one worker's share of a work-item list. take claims the
 // next item lock-free; the same method is the steal path when another
-// worker calls it. The item type is generic because two sweeps share
-// this scheduler: the campaign layer queues version-run batches, and
-// the optimizer's lattice sweep (internal/optimize) queues probe
-// chunks over the same (case × error) grid.
-type WorkQueue[T any] struct {
+// worker calls it.
+type workQueue[T any] struct {
 	items []T
 	next  atomic.Int64
 }
 
-// Take claims the queue's next item, or reports an empty queue.
-func (q *WorkQueue[T]) Take() (T, bool) {
+// take claims the queue's next item, or reports an empty queue.
+func (q *workQueue[T]) take() (T, bool) {
 	for {
 		i := q.next.Load()
 		if i >= int64(len(q.items)) {
@@ -68,12 +238,12 @@ func (q *WorkQueue[T]) Take() (T, bool) {
 	}
 }
 
-// PartitionQueues splits the item list into near-equal contiguous
+// partitionQueues splits the item list into near-equal contiguous
 // blocks, one per worker. Contiguity preserves the case-major item
 // order inside each queue, which is what makes per-case runner reuse
 // effective.
-func PartitionQueues[T any](items []T, workers int) []*WorkQueue[T] {
-	queues := make([]*WorkQueue[T], workers)
+func partitionQueues[T any](items []T, workers int) []*workQueue[T] {
+	queues := make([]*workQueue[T], workers)
 	per := len(items) / workers
 	rem := len(items) % workers
 	lo := 0
@@ -82,21 +252,21 @@ func PartitionQueues[T any](items []T, workers int) []*WorkQueue[T] {
 		if w < rem {
 			n++
 		}
-		queues[w] = &WorkQueue[T]{items: items[lo : lo+n]}
+		queues[w] = &workQueue[T]{items: items[lo : lo+n]}
 		lo += n
 	}
 	return queues
 }
 
-// NextItem serves worker w: its own queue first, then a steal sweep
+// nextItem serves worker w: its own queue first, then a steal sweep
 // over the other queues. stole reports whether the item came from
 // another worker's queue.
-func NextItem[T any](queues []*WorkQueue[T], w int) (item T, ok, stole bool) {
-	if item, ok = queues[w].Take(); ok {
+func nextItem[T any](queues []*workQueue[T], w int) (item T, ok, stole bool) {
+	if item, ok = queues[w].take(); ok {
 		return item, true, false
 	}
 	for off := 1; off < len(queues); off++ {
-		if item, ok = queues[(w+off)%len(queues)].Take(); ok {
+		if item, ok = queues[(w+off)%len(queues)].take(); ok {
 			return item, true, true
 		}
 	}
@@ -169,9 +339,10 @@ func (wr *workerRunners) runner(b batch) (inject.Runner, error) {
 	return r, nil
 }
 
-// stats folds the per-case runners' serving statistics; the worker
-// calls it once on exit, so no per-draw synchronization is needed.
-func (wr *workerRunners) stats() inject.RunnerStats {
+// Stats folds the per-case runners' serving statistics; Dispatch calls
+// it once after the worker exits, so no per-draw synchronization is
+// needed.
+func (wr *workerRunners) Stats() inject.RunnerStats {
 	var st inject.RunnerStats
 	for _, r := range wr.byCase {
 		if sr, ok := r.(inject.StatsReporter); ok {
@@ -181,11 +352,11 @@ func (wr *workerRunners) stats() inject.RunnerStats {
 	return st
 }
 
-// runBatch serves one batch through the worker's per-case runner: one
+// Serve serves one batch through the worker's per-case runner: one
 // RunError per error with every version the batch's jobs request. At
 // the batch barrier the runner's freshly memoized outcomes are merged
 // into the case's shared memo.
-func (wr *workerRunners) runBatch(b batch, emit func(outcome) bool) error {
+func (wr *workerRunners) Serve(b batch, emit func(outcome) bool) error {
 	runner, err := wr.runner(b)
 	if err != nil {
 		return err

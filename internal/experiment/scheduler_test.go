@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"easig/internal/inject"
 	"easig/internal/journal"
@@ -17,7 +22,7 @@ func TestPartitionQueuesContiguous(t *testing.T) {
 	for i := range batches {
 		batches[i].caseIdx = i
 	}
-	queues := PartitionQueues(batches, 4)
+	queues := partitionQueues(batches, 4)
 	if len(queues) != 4 {
 		t.Fatalf("got %d queues, want 4", len(queues))
 	}
@@ -54,17 +59,17 @@ func TestNextBatchSteals(t *testing.T) {
 	}
 	// Worker 1's queue is empty: 3 batches over 2 workers gives worker 0
 	// two, worker 1 one — drain worker 1's own first.
-	queues := PartitionQueues(batches, 2)
-	if b, ok, stole := NextItem(queues, 1); !ok || stole {
+	queues := partitionQueues(batches, 2)
+	if b, ok, stole := nextItem(queues, 1); !ok || stole {
 		t.Fatalf("own-queue claim: ok=%v stole=%v batch=%d", ok, stole, b.caseIdx)
 	}
 	for i := 0; i < 2; i++ {
-		b, ok, stole := NextItem(queues, 1)
+		b, ok, stole := nextItem(queues, 1)
 		if !ok || !stole {
 			t.Fatalf("steal %d: ok=%v stole=%v batch=%d", i, ok, stole, b.caseIdx)
 		}
 	}
-	if _, ok, _ := NextItem(queues, 1); ok {
+	if _, ok, _ := nextItem(queues, 1); ok {
 		t.Fatal("claimed a batch from fully drained queues")
 	}
 }
@@ -78,7 +83,7 @@ func TestWorkQueueConcurrentClaims(t *testing.T) {
 	for i := range batches {
 		batches[i].caseIdx = i
 	}
-	queues := PartitionQueues(batches, nWorkers)
+	queues := partitionQueues(batches, nWorkers)
 	var mu sync.Mutex
 	claims := make(map[int]int, nBatches)
 	var wg sync.WaitGroup
@@ -88,7 +93,7 @@ func TestWorkQueueConcurrentClaims(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				b, ok, _ := NextItem(queues, w)
+				b, ok, _ := nextItem(queues, w)
 				if !ok {
 					return
 				}
@@ -106,6 +111,174 @@ func TestWorkQueueConcurrentClaims(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("batch %d claimed %d times", i, n)
 		}
+	}
+}
+
+// intWorker is a fake Dispatch worker over int items: serve decides
+// what each item emits or returns, and Stats reports the served count.
+type intWorker struct {
+	serve  func(item int, emit func(int) bool) error
+	served int
+}
+
+func (w *intWorker) Serve(item int, emit func(int) bool) error {
+	w.served++
+	return w.serve(item, emit)
+}
+
+func (w *intWorker) Stats() inject.RunnerStats { return inject.RunnerStats{Errors: w.served} }
+
+func intItems(n int) []int {
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
+	}
+	return items
+}
+
+// TestDispatchWorkerErrorCancels: the first Serve error cancels the
+// pool long before every item is served, and surfaces as "run failed".
+func TestDispatchWorkerErrorCancels(t *testing.T) {
+	boom := errors.New("boom")
+	items := intItems(1000)
+	var served atomic.Int64
+	newWorker := func() Worker[int, int] {
+		return &intWorker{serve: func(item int, emit func(int) bool) error {
+			served.Add(1)
+			if item == 0 {
+				return boom
+			}
+			emit(item)
+			time.Sleep(time.Millisecond)
+			return nil
+		}}
+	}
+	_, err := Dispatch(Pool{Workers: 4}, items, newWorker, func(int) error { return nil })
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "run failed") {
+		t.Fatalf("err = %v, want a run failure wrapping boom", err)
+	}
+	if n := served.Load(); n >= int64(len(items))/10 {
+		t.Errorf("served %d of %d items after the first error — the pool drained instead of canceling", n, len(items))
+	}
+}
+
+// TestDispatchCollectErrorFirst: a collect error takes precedence over a
+// worker error, and no unit reaches collect after it failed.
+func TestDispatchCollectErrorFirst(t *testing.T) {
+	errCollect := errors.New("journal full")
+	errWorker := errors.New("worker broke")
+	failed := make(chan struct{})
+	// Worker 0 serves items 0-2 and fails once collect has failed on
+	// its unit 2; worker 1 emits unit 3 until the pool is canceled.
+	newWorker := func() Worker[int, int] {
+		return &intWorker{serve: func(item int, emit func(int) bool) error {
+			if item == 3 {
+				for emit(item) {
+				}
+				return nil
+			}
+			emit(item)
+			if item == 2 {
+				<-failed
+				return errWorker
+			}
+			return nil
+		}}
+	}
+	var after int
+	collect := func(u int) error {
+		select {
+		case <-failed:
+			after++
+			return nil
+		default:
+		}
+		if u == 2 {
+			close(failed)
+			return errCollect
+		}
+		return nil
+	}
+	_, err := Dispatch(Pool{Workers: 2}, []int{0, 1, 2, 3}, newWorker, collect)
+	if !errors.Is(err, errCollect) || errors.Is(err, errWorker) {
+		t.Fatalf("err = %v, want the collect error", err)
+	}
+	if after > 0 {
+		t.Errorf("collect was called %d times after it failed", after)
+	}
+}
+
+// TestDispatchParentContext: a pre-canceled parent context reports an
+// interruption the caller can match.
+func TestDispatchParentContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	newWorker := func() Worker[int, int] {
+		return &intWorker{serve: func(item int, emit func(int) bool) error {
+			emit(item)
+			return nil
+		}}
+	}
+	_, err := Dispatch(Pool{Context: ctx, Workers: 2}, intItems(10), newWorker, func(int) error { return nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestDispatchAccounting: per-worker runs add up to the collected
+// units, runner stats fold across workers, and progress ends at Total.
+func TestDispatchAccounting(t *testing.T) {
+	const workers, resumed = 4, 5
+	items := intItems(100)
+	units := 0
+	for _, i := range items {
+		units += i%3 + 1
+	}
+	newWorker := func() Worker[int, int] {
+		return &intWorker{serve: func(item int, emit func(int) bool) error {
+			for k := 0; k <= item%3; k++ {
+				if !emit(item) {
+					return nil
+				}
+			}
+			return nil
+		}}
+	}
+	collected := 0
+	var last journal.ProgressEvent
+	pool := Pool{
+		Workers:    workers,
+		Experiment: "X",
+		Runner:     "fake",
+		Resumed:    resumed,
+		Total:      resumed + units,
+		Progress:   func(ev journal.ProgressEvent) { last = ev },
+	}
+	m, err := Dispatch(pool, items, newWorker, func(int) error { collected++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if collected != units || m.Runs != units {
+		t.Errorf("collected %d units, metrics.Runs = %d, want %d", collected, m.Runs, units)
+	}
+	if len(m.Workers) != workers {
+		t.Fatalf("metrics report %d workers, want %d", len(m.Workers), workers)
+	}
+	sum := 0
+	for _, wm := range m.Workers {
+		sum += wm.Runs
+	}
+	if sum != m.Runs {
+		t.Errorf("per-worker runs sum to %d, metrics.Runs = %d", sum, m.Runs)
+	}
+	if m.Errors != len(items) {
+		t.Errorf("folded runner stats served %d items, want %d", m.Errors, len(items))
+	}
+	if m.Resumed != resumed || m.Experiment != "X" || m.Runner != "fake" {
+		t.Errorf("metrics labels = %q/%q resumed %d", m.Experiment, m.Runner, m.Resumed)
+	}
+	if last.Completed != pool.Total || last.Resumed != resumed {
+		t.Errorf("last progress event %+v, want completed %d of %d", last, pool.Total, pool.Total)
 	}
 }
 

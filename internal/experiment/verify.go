@@ -5,7 +5,6 @@ import (
 
 	"easig/internal/inject"
 	"easig/internal/physics"
-	"easig/internal/target"
 )
 
 // VerifyNominal checks the precondition of the paper's §3.4: "All test
@@ -48,10 +47,4 @@ func VerifyNominal(cfg Config) error {
 		}
 	}
 	return nil
-}
-
-// VerifyNominalAllVersions is VerifyNominal over the paper's eight
-// versions at full grid scale.
-func VerifyNominalAllVersions(seed int64) error {
-	return VerifyNominal(Config{Spec: Spec{Seed: seed, Versions: target.Versions()}})
 }

@@ -187,13 +187,8 @@ func newEngineShell(cfg RunConfig) (*Engine, error) {
 			return nil, fmt.Errorf("inject: engine requires detection-only runs (core.NoRecovery), got %T", cfg.Recovery)
 		}
 	}
-	e := &Engine{cfg: cfg, policy: cfg.Policy, obs: cfg.ObservationMs, rec: newRecorder()}
-	if e.policy.PeriodMs <= 0 {
-		e.policy = DefaultPolicy()
-	}
-	if e.obs <= 0 {
-		e.obs = DefaultObservationMs
-	}
+	e := &Engine{cfg: cfg, rec: newRecorder()}
+	e.policy, e.obs = cfg.schedule()
 	sys, err := target.NewSystem(target.SystemConfig{
 		Constants:  cfg.Constants,
 		ForceTable: cfg.ForceTable,

@@ -60,6 +60,20 @@ type RunConfig struct {
 	ForceTable *physics.ForceTable
 }
 
+// schedule resolves the run's injection schedule and observation
+// window, reading a zero Policy or ObservationMs as the paper default.
+// Runners call it once at construction.
+func (c RunConfig) schedule() (Policy, int64) {
+	policy, obs := c.Policy, c.ObservationMs
+	if policy.PeriodMs <= 0 {
+		policy = DefaultPolicy()
+	}
+	if obs <= 0 {
+		obs = DefaultObservationMs
+	}
+	return policy, obs
+}
+
 // RunResult is one run's readout record: what the FIC3 stores from the
 // detection pin and the environment simulator.
 type RunResult struct {
@@ -118,14 +132,7 @@ func (p *pinSink) Detect(v core.Violation) {
 
 // Run executes one experiment run and returns its readouts.
 func Run(cfg RunConfig) (RunResult, error) {
-	policy := cfg.Policy
-	if policy.PeriodMs <= 0 {
-		policy = DefaultPolicy()
-	}
-	obs := cfg.ObservationMs
-	if obs <= 0 {
-		obs = DefaultObservationMs
-	}
+	policy, obs := cfg.schedule()
 	recovery := cfg.Recovery
 	if recovery == nil {
 		recovery = core.NoRecovery{}

@@ -77,16 +77,6 @@ func (s *firstSink) reset() {
 	}
 }
 
-// clean reports an empty sink (no violation recorded yet).
-func (s *firstSink) clean() bool {
-	for _, t := range s.first {
-		if t >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Probe profiles the errors of one (test case, injection schedule) into
 // EAProfiles. Like the Engine it restores a nominal-prefix snapshot per
 // error and exits early once the post-stop quiet window has elapsed; in
@@ -156,7 +146,8 @@ func NewProbe(mode Mode, cfg RunConfig) (*Probe, error) {
 		return nil, err
 	}
 	if resolved == ModeLiteral {
-		return &Probe{cfg: cfg, policy: normalPolicy(cfg), obs: normalObs(cfg), mode: resolved}, nil
+		policy, obs := cfg.schedule()
+		return &Probe{cfg: cfg, policy: policy, obs: obs, mode: resolved}, nil
 	}
 	e := &profileEntry{}
 	if err := e.computePrefix(cfg); err != nil {
@@ -189,8 +180,9 @@ func NewProbeFromProfile(mode Mode, p *CaseProfile) (*Probe, error) {
 	if err != nil {
 		return nil, err
 	}
+	policy, obs := p.cfg.schedule()
 	if resolved == ModeLiteral {
-		return &Probe{cfg: p.cfg, policy: normalPolicy(p.cfg), obs: normalObs(p.cfg), mode: resolved}, nil
+		return &Probe{cfg: p.cfg, policy: policy, obs: obs, mode: resolved}, nil
 	}
 	for k := range p.prefixEA {
 		if len(p.prefixEA[k].times) > 0 {
@@ -199,8 +191,8 @@ func NewProbeFromProfile(mode Mode, p *CaseProfile) (*Probe, error) {
 	}
 	pr := &Probe{
 		cfg:    p.cfg,
-		policy: normalPolicy(p.cfg),
-		obs:    normalObs(p.cfg),
+		policy: policy,
+		obs:    obs,
 		mode:   resolved,
 		master: newFirstSink(),
 		slave:  newFirstSink(),
@@ -236,20 +228,6 @@ func NewProbeFromProfile(mode Mode, p *CaseProfile) (*Probe, error) {
 		pr.memo = make(map[uint64]EAProfile)
 	}
 	return pr, nil
-}
-
-func normalPolicy(cfg RunConfig) Policy {
-	if cfg.Policy.PeriodMs <= 0 {
-		return DefaultPolicy()
-	}
-	return cfg.Policy
-}
-
-func normalObs(cfg RunConfig) int64 {
-	if cfg.ObservationMs <= 0 {
-		return DefaultObservationMs
-	}
-	return cfg.ObservationMs
 }
 
 // ProfileError profiles one error of the probe's test case into its

@@ -343,6 +343,29 @@ func (l *Log) Header(experiment string) (Header, bool) {
 	return Header{}, false
 }
 
+// CheckResume checks that the named experiment's header, if the log
+// has one, was recorded under the live seed, grid and resolved runner
+// mode, so a resume cannot replay records of another configuration.
+// The mode check closes the hole where e.g. a memo-mode journal would
+// silently extend a literal-mode sweep: the engines are equivalence-
+// tested, but a mixed-provenance result could no longer be attributed
+// to either. Journals written before the Runner API carry no mode and
+// resume under any engine.
+func (l *Log) CheckResume(experiment string, seed int64, grid int, runner string) error {
+	h, ok := l.Header(experiment)
+	switch {
+	case !ok:
+		return nil
+	case h.Seed != seed || h.Grid != grid:
+		return fmt.Errorf("journal was recorded for %s seed %d grid %d, not seed %d grid %d",
+			experiment, h.Seed, h.Grid, seed, grid)
+	case h.Runner != "" && h.Runner != runner:
+		return fmt.Errorf("journal was recorded by the %s engine, not %s — rerun with -engine=%s or a fresh journal",
+			h.Runner, runner, h.Runner)
+	}
+	return nil
+}
+
 // LookupProbes indexes the named experiment's probe records by their
 // coordinates; when a probe appears twice (a journal resumed more than
 // once) the last occurrence wins — re-executions are byte-identical by
@@ -434,17 +457,4 @@ func Merge(logs ...*Log) (*Log, error) {
 		merged.Headers = append(merged.Headers, *byExp[exp])
 	}
 	return merged, nil
-}
-
-// MergeFiles loads and merges shard journal files.
-func MergeFiles(paths ...string) (*Log, error) {
-	logs := make([]*Log, len(paths))
-	for i, p := range paths {
-		l, err := Load(p)
-		if err != nil {
-			return nil, err
-		}
-		logs[i] = l
-	}
-	return Merge(logs...)
 }

@@ -56,9 +56,6 @@ func (b *LineBatcher) Flush() error {
 // Err returns the first write error, if any.
 func (b *LineBatcher) Err() error { return b.err }
 
-// Buffered returns the number of pending (unflushed) bytes.
-func (b *LineBatcher) Buffered() int { return len(b.buf) }
-
 func (b *LineBatcher) flush() {
 	if len(b.buf) == 0 {
 		return

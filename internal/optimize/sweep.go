@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"easig/internal/experiment"
@@ -208,15 +207,8 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	var replayed map[journal.ProbeKey]journal.Probe
 	cost, haveCost := CostModel{}, false
 	if opt.Resume != nil {
-		if h, ok := opt.Resume.Header(exp); ok {
-			if h.Seed != spec.Seed || h.Grid != spec.Grid {
-				return nil, fmt.Errorf("optimize: journal was recorded for %s seed %d grid %d, not seed %d grid %d",
-					exp, h.Seed, h.Grid, spec.Seed, spec.Grid)
-			}
-			if h.Runner != "" && h.Runner != mode.String() {
-				return nil, fmt.Errorf("optimize: journal was recorded by the %s probe engine, sweep resolves to %s — rerun with -engine=%s or a fresh journal",
-					h.Runner, mode, h.Runner)
-			}
+		if err := opt.Resume.CheckResume(exp, spec.Seed, spec.Grid, mode.String()); err != nil {
+			return nil, fmt.Errorf("optimize: %w", err)
 		}
 		replayed = opt.Resume.LookupProbes(exp)
 		if rec, ok := opt.Resume.Cost(exp); ok {
@@ -287,11 +279,44 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		}
 	}
 
-	live, metrics, err := runProbes(spec, opt, exp, mode, errs, chunks, resumed, total)
+	// Live chunks go through the campaign's grid dispatcher; the
+	// collector keeps and journals every probe outcome.
+	pool := experiment.Pool{
+		Context:    opt.Context,
+		Workers:    opt.Workers,
+		Experiment: exp,
+		Runner:     mode.String(),
+		Resumed:    resumed,
+		Total:      total,
+		Progress:   opt.Progress,
+	}
+	cache := inject.NewProfileCache()
+	newWorker := func() experiment.Worker[chunk, probeResult] {
+		return &prober{spec: spec, mode: mode, errs: errs, cache: cache, byCase: make(map[int]*inject.Probe)}
+	}
+	metrics, err := experiment.Dispatch(pool, chunks, newWorker, func(r probeResult) error {
+		outcomes = append(outcomes, outcomeFromEAProfile(r.prof))
+		if opt.Journal == nil {
+			return nil
+		}
+		return opt.Journal.Probe(journal.Probe{
+			Experiment: exp,
+			ErrIdx:     r.errIdx,
+			ErrID:      r.errID,
+			CaseIdx:    r.caseIdx,
+			Seed:       experiment.RunSeed(spec.Seed, r.caseIdx),
+			Failed:     r.prof.Failed,
+			FailTickMs: r.prof.FailTickMs,
+			Master:     append([]int64(nil), r.prof.Master[:]...),
+			Slave:      append([]int64(nil), r.prof.Slave[:]...),
+		})
+	})
 	if err != nil {
+		if opt.Context != nil && err == opt.Context.Err() {
+			err = fmt.Errorf("optimize: sweep interrupted: %w", err)
+		}
 		return nil, err
 	}
-	outcomes = append(outcomes, live...)
 
 	rep := &Report{
 		Experiment:    exp,
@@ -314,162 +339,61 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// runProbes dispatches the live chunks across the worker pool —
-// per-worker queues with work stealing (experiment.PartitionQueues /
-// NextItem, the campaign scheduler) — and collects the probe outcomes
-// through a single collector loop that also feeds the journal and the
-// progress hook. Per-case profiles are computed once in a shared
-// inject.ProfileCache; each worker owns one Probe per case it touches.
-func runProbes(spec Spec, opt Options, exp string, mode inject.Mode, errs []inject.Error, chunks []chunk, resumed, total int) ([]probeOutcome, journal.Metrics, error) {
-	parent := opt.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
+// prober is one pool worker of the sweep: one Probe per test case it
+// has touched, each built from the sweep's shared inject.ProfileCache
+// (per-case profiles are computed once, whichever worker asks first).
+type prober struct {
+	spec   Spec
+	mode   inject.Mode
+	errs   []inject.Error
+	cache  *inject.ProfileCache
+	byCase map[int]*inject.Probe
+}
 
-	queues := experiment.PartitionQueues(chunks, opt.Workers)
-	cache := inject.NewProfileCache()
-	out := make(chan probeResult)
-	errCh := make(chan error, 1)
-	rstats := make([]inject.RunnerStats, opt.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			probes := make(map[int]*inject.Probe)
-			defer func() {
-				for _, p := range probes {
-					rstats[w] = rstats[w].Add(p.Stats())
-				}
-			}()
-			fail := func(err error) {
-				select {
-				case errCh <- err:
-				default:
-				}
-				cancel()
-			}
-			for ctx.Err() == nil {
-				c, ok, _ := experiment.NextItem(queues, w)
-				if !ok {
-					return
-				}
-				pr := probes[c.caseIdx]
-				if pr == nil {
-					cfg := inject.RunConfig{
-						TestCase:      c.tc,
-						Seed:          experiment.RunSeed(spec.Seed, c.caseIdx),
-						ObservationMs: spec.ObservationMs,
-						Policy:        spec.Policy,
-					}
-					var err error
-					if mode == inject.ModeLiteral {
-						pr, err = inject.NewProbe(mode, cfg)
-					} else {
-						var p *inject.CaseProfile
-						if p, err = cache.Get(c.caseIdx, cfg, mode == inject.ModeMemo); err == nil {
-							pr, err = inject.NewProbeFromProfile(mode, p)
-						}
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					probes[c.caseIdx] = pr
-				}
-				for ei := c.from; ei < c.to && ctx.Err() == nil; ei++ {
-					prof, err := pr.ProfileError(errs[ei])
-					if err != nil {
-						fail(err)
-						return
-					}
-					select {
-					case out <- probeResult{errIdx: ei, errID: errs[ei].ID, caseIdx: c.caseIdx, prof: prof}:
-					case <-ctx.Done():
-					}
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	start := time.Now()
-	completed := resumed
-	var outcomes []probeOutcome
-	var journalErr error
-	for r := range out {
-		outcomes = append(outcomes, outcomeFromEAProfile(r.prof))
-		completed++
-		if opt.Journal != nil && journalErr == nil {
-			if err := opt.Journal.Probe(journal.Probe{
-				Experiment: exp,
-				ErrIdx:     r.errIdx,
-				ErrID:      r.errID,
-				CaseIdx:    r.caseIdx,
-				Seed:       experiment.RunSeed(spec.Seed, r.caseIdx),
-				Failed:     r.prof.Failed,
-				FailTickMs: r.prof.FailTickMs,
-				Master:     append([]int64(nil), r.prof.Master[:]...),
-				Slave:      append([]int64(nil), r.prof.Slave[:]...),
-			}); err != nil {
-				journalErr = err
-				cancel()
+// Serve profiles the chunk's errors with the worker's probe for the
+// chunk's test case, building the probe on first use.
+func (p *prober) Serve(c chunk, emit func(probeResult) bool) error {
+	pr := p.byCase[c.caseIdx]
+	if pr == nil {
+		cfg := inject.RunConfig{
+			TestCase:      c.tc,
+			Seed:          experiment.RunSeed(p.spec.Seed, c.caseIdx),
+			ObservationMs: p.spec.ObservationMs,
+			Policy:        p.spec.Policy,
+		}
+		var err error
+		if p.mode == inject.ModeLiteral {
+			pr, err = inject.NewProbe(p.mode, cfg)
+		} else {
+			var prof *inject.CaseProfile
+			if prof, err = p.cache.Get(c.caseIdx, cfg, p.mode == inject.ModeMemo); err == nil {
+				pr, err = inject.NewProbeFromProfile(p.mode, prof)
 			}
 		}
-		if opt.Progress != nil {
-			ev := journal.ProgressEvent{
-				Experiment: exp,
-				Completed:  completed,
-				Resumed:    resumed,
-				Total:      total,
-				Elapsed:    time.Since(start),
-			}
-			if liveDone := completed - resumed; ev.Elapsed > 0 && liveDone > 0 {
-				ev.RunsPerSec = float64(liveDone) / ev.Elapsed.Seconds()
-				ev.ETA = time.Duration(float64(total-completed) / ev.RunsPerSec * float64(time.Second))
-			}
-			opt.Progress(ev)
+		if err != nil {
+			return err
+		}
+		p.byCase[c.caseIdx] = pr
+	}
+	for ei := c.from; ei < c.to; ei++ {
+		prof, err := pr.ProfileError(p.errs[ei])
+		if err != nil {
+			return err
+		}
+		if !emit(probeResult{errIdx: ei, errID: p.errs[ei].ID, caseIdx: c.caseIdx, prof: prof}) {
+			return nil
 		}
 	}
+	return nil
+}
 
-	wall := time.Since(start)
-	metrics := journal.Metrics{
-		Experiment: exp,
-		Runs:       len(outcomes),
-		Resumed:    resumed,
-		WallMs:     wall.Milliseconds(),
-		Runner:     mode.String(),
-	}
-	if wall > 0 {
-		metrics.RunsPerSec = float64(len(outcomes)) / wall.Seconds()
-	}
+// Stats folds the worker's probe statistics.
+func (p *prober) Stats() inject.RunnerStats {
 	var st inject.RunnerStats
-	for _, s := range rstats {
-		st = st.Add(s)
+	for _, pr := range p.byCase {
+		st = st.Add(pr.Stats())
 	}
-	metrics.Errors = st.Errors
-	metrics.Simulated = st.Simulated
-	metrics.Pruned = st.Pruned
-	metrics.MemoHits = st.MemoHits
-	metrics.PruneRate = st.PruneRate()
-	metrics.MemoHitRate = st.MemoHitRate()
-
-	switch {
-	case journalErr != nil:
-		return nil, metrics, journalErr
-	case len(errCh) > 0:
-		return nil, metrics, fmt.Errorf("optimize: sweep failed: %w", <-errCh)
-	case parent.Err() != nil:
-		return nil, metrics, fmt.Errorf("optimize: sweep interrupted: %w", parent.Err())
-	default:
-		return outcomes, metrics, nil
-	}
+	return st
 }
 
 // outcomeFromEAProfile converts a live probe profile to scoring form.

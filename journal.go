@@ -29,15 +29,3 @@ type ProgressEvent = journal.ProgressEvent
 // replayed run counts, wall time, throughput and per-worker
 // utilization. Campaign results carry one in their Metrics field.
 type CampaignMetrics = journal.Metrics
-
-// CreateJournal opens a fresh journal at path, truncating any previous
-// file.
-func CreateJournal(path string) (*JournalWriter, error) { return journal.Create(path) }
-
-// OpenJournal opens an existing journal for appending — the resume
-// path, so a twice-interrupted campaign still resumes cleanly.
-func OpenJournal(path string) (*JournalWriter, error) { return journal.Open(path) }
-
-// LoadJournal reads a journal file, tolerating the truncated final
-// line a killed campaign leaves behind.
-func LoadJournal(path string) (*JournalLog, error) { return journal.Load(path) }
