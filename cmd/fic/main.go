@@ -95,18 +95,21 @@ func main() {
 	}
 }
 
-// checkScale rejects the scale flags shared by campaigns and `fic
-// optimize` when they are not positive. The library reads a zero grid,
-// window or period as "use the paper default", so passing one through
-// would silently run the full-scale protocol.
-func checkScale(grid int, observe, period int64) error {
+// checkScale rejects the scale and schedule flags shared by campaigns
+// and `fic optimize`. The library reads a zero grid, window or period
+// as "use the paper default", so passing one through would silently
+// run the full-scale protocol.
+func checkScale(grid int, observe int64, policy inject.Policy) error {
 	switch {
 	case grid < 1:
 		return fmt.Errorf("-grid must be at least 1, got %d", grid)
 	case observe < 1:
 		return fmt.Errorf("-observe must be at least 1 ms, got %d", observe)
-	case period < 1:
-		return fmt.Errorf("-period must be at least 1 ms, got %d", period)
+	case policy.PeriodMs < 1:
+		return fmt.Errorf("-period must be at least 1 ms, got %d", policy.PeriodMs)
+	}
+	if err := policy.Validate(); err != nil {
+		return fmt.Errorf("-start: %w", err)
 	}
 	return nil
 }
@@ -167,7 +170,7 @@ func run(args []string) error {
 		memprofile  = fs.String("memprofile", "", "write a heap profile (post-GC, on exit) to this file")
 	)
 	fs.Parse(args)
-	if err := checkScale(*grid, *observe, *period); err != nil {
+	if err := checkScale(*grid, *observe, inject.Policy{StartMs: *start, PeriodMs: *period}); err != nil {
 		return err
 	}
 

@@ -3,11 +3,14 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"easig/internal/inject"
 )
 
 // TestScaleFlagsRejected pins that both subcommands refuse a grid,
-// window or period of zero or below before any work starts, instead of
-// letting the library's zero-value defaults run the full protocol.
+// window or period of zero or below, and a negative injection start,
+// before any work starts, instead of letting the library's zero-value
+// defaults run the full protocol.
 func TestScaleFlagsRejected(t *testing.T) {
 	subcommands := map[string]func([]string) error{
 		"fic":          run,
@@ -23,6 +26,7 @@ func TestScaleFlagsRejected(t *testing.T) {
 		{[]string{"-observe", "-1"}, "-observe"},
 		{[]string{"-period", "0"}, "-period"},
 		{[]string{"-period", "-20"}, "-period"},
+		{[]string{"-start", "-5"}, "-start"},
 	}
 	for name, sub := range subcommands {
 		for _, tc := range cases {
@@ -35,7 +39,7 @@ func TestScaleFlagsRejected(t *testing.T) {
 }
 
 func TestCheckScaleAcceptsSmallestScale(t *testing.T) {
-	if err := checkScale(1, 1, 1); err != nil {
-		t.Fatalf("checkScale(1, 1, 1) = %v, want nil", err)
+	if err := checkScale(1, 1, inject.Policy{StartMs: 0, PeriodMs: 1}); err != nil {
+		t.Fatalf("checkScale(1, 1, {0, 1}) = %v, want nil", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,7 +46,7 @@ func runOptimize(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	if err := checkScale(*grid, *observe, *period); err != nil {
+	if err := checkScale(*grid, *observe, inject.Policy{StartMs: *start, PeriodMs: *period}); err != nil {
 		return err
 	}
 
@@ -111,7 +112,7 @@ func runOptimize(args []string) error {
 	if *outF != "" {
 		out = experiment.FileOutput{Path: *outF}
 	}
-	if err := (optimize.Reporter{Format: format, Output: out}).Report(rep); err != nil {
+	if err := out.Emit(func(w io.Writer) error { return format.Render(w, rep) }); err != nil {
 		return err
 	}
 	if *outF != "" {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Calibration derives parameter-set proposals from fault-free traces.
@@ -177,65 +176,4 @@ func (c *ContinuousCalibrator) Propose(opts CalibrationOptions) (Continuous, Cla
 		}
 	}
 	return p, class, nil
-}
-
-// DiscreteCalibrator accumulates the value domain and transition graph
-// of one discrete signal across fault-free runs. The zero value is
-// ready to use.
-type DiscreteCalibrator struct {
-	domain map[int64]bool
-	trans  map[int64]map[int64]bool
-	prev   int64
-	inRun  bool
-}
-
-// Observe feeds one sample in trace order.
-func (c *DiscreteCalibrator) Observe(s int64) {
-	if c.domain == nil {
-		c.domain = make(map[int64]bool)
-		c.trans = make(map[int64]map[int64]bool)
-	}
-	c.domain[s] = true
-	if c.inRun && s != c.prev {
-		t := c.trans[c.prev]
-		if t == nil {
-			t = make(map[int64]bool)
-			c.trans[c.prev] = t
-		}
-		t[s] = true
-	}
-	c.prev = s
-	c.inRun = true
-}
-
-// EndRun marks the end of one run; the next Observe does not record a
-// transition from the previous run's last value.
-func (c *DiscreteCalibrator) EndRun() { c.inRun = false }
-
-// Propose returns the observed domain and transition graph as a
-// parameter set, with allowStay controlling whether self-transitions
-// are added for every value (signals tested more often than they
-// change).
-func (c *DiscreteCalibrator) Propose(allowStay bool) (Discrete, error) {
-	if len(c.domain) == 0 {
-		return Discrete{}, ErrNoObservations
-	}
-	domain := make([]int64, 0, len(c.domain))
-	for d := range c.domain {
-		domain = append(domain, d)
-	}
-	sort.Slice(domain, func(a, b int) bool { return domain[a] < domain[b] })
-	trans := make(map[int64][]int64, len(domain))
-	for _, d := range domain {
-		var targets []int64
-		for dst := range c.trans[d] {
-			targets = append(targets, dst)
-		}
-		if allowStay {
-			targets = append(targets, d)
-		}
-		sort.Slice(targets, func(a, b int) bool { return targets[a] < targets[b] })
-		trans[d] = targets
-	}
-	return Discrete{Domain: domain, Trans: trans}, nil
 }

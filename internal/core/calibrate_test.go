@@ -123,62 +123,6 @@ func TestContinuousCalibratorEmpty(t *testing.T) {
 	}
 }
 
-func TestDiscreteCalibrator(t *testing.T) {
-	var cal DiscreteCalibrator
-	walk := []int64{1, 2, 4, 5, 1, 4, 5, 1, 2, 3, 4, 5}
-	for _, s := range walk {
-		cal.Observe(s)
-	}
-	cal.EndRun()
-	p, err := cal.Propose(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(DiscreteSequentialNonLinear); err != nil {
-		t.Fatalf("proposal does not validate: %v", err)
-	}
-	// Every observed transition is allowed; an unobserved one is not.
-	if !p.Allows(1, 2) || !p.Allows(5, 1) || !p.Allows(1, 4) {
-		t.Error("observed transitions missing from proposal")
-	}
-	if p.Allows(2, 1) {
-		t.Error("unobserved transition 2->1 allowed")
-	}
-	if p.Allows(1, 1) {
-		t.Error("self transition allowed without allowStay")
-	}
-
-	pStay, err := cal.Propose(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pStay.Allows(1, 1) || !pStay.Allows(3, 3) {
-		t.Error("allowStay proposal lacks self transitions")
-	}
-}
-
-func TestDiscreteCalibratorEndRun(t *testing.T) {
-	var cal DiscreteCalibrator
-	cal.Observe(1)
-	cal.Observe(2)
-	cal.EndRun()
-	cal.Observe(5)
-	p, err := cal.Propose(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Allows(2, 5) {
-		t.Error("inter-run transition 2->5 recorded despite EndRun")
-	}
-}
-
-func TestDiscreteCalibratorEmpty(t *testing.T) {
-	var cal DiscreteCalibrator
-	if _, err := cal.Propose(false); !errors.Is(err, ErrNoObservations) {
-		t.Fatalf("err = %v, want ErrNoObservations", err)
-	}
-}
-
 // replayTrace runs the trace through a monitor built from the proposal
 // and fails on any violation: a calibrated parameter set must accept
 // its own training data (the paper's §3.4 requirement that fault-free

@@ -84,11 +84,6 @@ func (c Class) IsDiscrete() bool {
 	return false
 }
 
-// IsMonotonic reports whether c is a monotonic continuous class.
-func (c Class) IsMonotonic() bool {
-	return c == ContinuousMonotonicStatic || c == ContinuousMonotonicDynamic
-}
-
 // IsSequential reports whether c is a sequential discrete class.
 func (c Class) IsSequential() bool {
 	return c == DiscreteSequentialLinear || c == DiscreteSequentialNonLinear

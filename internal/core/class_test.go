@@ -45,16 +45,16 @@ func TestParseClassUnknown(t *testing.T) {
 
 func TestClassPredicates(t *testing.T) {
 	tests := []struct {
-		class                                    Class
-		continuous, discrete, monotonic, sequent bool
+		class                         Class
+		continuous, discrete, sequent bool
 	}{
-		{ContinuousRandom, true, false, false, false},
-		{ContinuousMonotonicStatic, true, false, true, false},
-		{ContinuousMonotonicDynamic, true, false, true, false},
-		{DiscreteRandom, false, true, false, false},
-		{DiscreteSequentialLinear, false, true, false, true},
-		{DiscreteSequentialNonLinear, false, true, false, true},
-		{ClassUnknown, false, false, false, false},
+		{ContinuousRandom, true, false, false},
+		{ContinuousMonotonicStatic, true, false, false},
+		{ContinuousMonotonicDynamic, true, false, false},
+		{DiscreteRandom, false, true, false},
+		{DiscreteSequentialLinear, false, true, true},
+		{DiscreteSequentialNonLinear, false, true, true},
+		{ClassUnknown, false, false, false},
 	}
 	for _, tt := range tests {
 		if got := tt.class.IsContinuous(); got != tt.continuous {
@@ -62,9 +62,6 @@ func TestClassPredicates(t *testing.T) {
 		}
 		if got := tt.class.IsDiscrete(); got != tt.discrete {
 			t.Errorf("%v.IsDiscrete() = %v, want %v", tt.class, got, tt.discrete)
-		}
-		if got := tt.class.IsMonotonic(); got != tt.monotonic {
-			t.Errorf("%v.IsMonotonic() = %v, want %v", tt.class, got, tt.monotonic)
 		}
 		if got := tt.class.IsSequential(); got != tt.sequent {
 			t.Errorf("%v.IsSequential() = %v, want %v", tt.class, got, tt.sequent)

@@ -121,9 +121,6 @@ func (p Continuous) Classify() (Class, error) {
 	return ClassUnknown, errors.New("core: parameters fit no continuous class")
 }
 
-// Span returns the width of the valid domain, smax - smin.
-func (p Continuous) Span() int64 { return p.Max - p.Min }
-
 // Clamp returns v limited to [Min, Max].
 func (p Continuous) Clamp(v int64) int64 {
 	if v < p.Min {
@@ -133,20 +130,6 @@ func (p Continuous) Clamp(v int64) int64 {
 		return p.Max
 	}
 	return v
-}
-
-// MonotonicDirection reports the direction of a monotonic parameter
-// set: +1 for increasing (decrease rates are zero), -1 for decreasing
-// (increase rates are zero) and 0 when the set is not monotonic.
-func (p Continuous) MonotonicDirection() int {
-	switch {
-	case p.Decr.zero() && !p.Incr.zero():
-		return +1
-	case p.Incr.zero() && !p.Decr.zero():
-		return -1
-	default:
-		return 0
-	}
 }
 
 // String renders the parameter set in a compact single line.

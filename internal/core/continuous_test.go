@@ -154,26 +154,9 @@ func TestContinuousClassify(t *testing.T) {
 
 func TestContinuousHelpers(t *testing.T) {
 	p := Continuous{Min: -10, Max: 30, Incr: Rate{0, 5}, Decr: Rate{0, 5}}
-	if got := p.Span(); got != 40 {
-		t.Errorf("Span() = %d, want 40", got)
-	}
 	for _, tt := range []struct{ in, want int64 }{{-20, -10}, {-10, -10}, {0, 0}, {30, 30}, {31, 30}} {
 		if got := p.Clamp(tt.in); got != tt.want {
 			t.Errorf("Clamp(%d) = %d, want %d", tt.in, got, tt.want)
-		}
-	}
-	dirs := []struct {
-		p    Continuous
-		want int
-	}{
-		{Continuous{Incr: Rate{0, 5}}, +1},
-		{Continuous{Decr: Rate{0, 5}}, -1},
-		{Continuous{Incr: Rate{0, 5}, Decr: Rate{0, 5}}, 0},
-		{Continuous{}, 0},
-	}
-	for _, tt := range dirs {
-		if got := tt.p.MonotonicDirection(); got != tt.want {
-			t.Errorf("MonotonicDirection(%+v) = %d, want %d", tt.p, got, tt.want)
 		}
 	}
 }

@@ -31,8 +31,8 @@
 //     DetectionSink (the paper's "digital output pin") and applies a
 //     RecoveryPolicy ("the signal can be returned to a valid state",
 //     paper §2);
-//   - Calibrator, which derives parameter proposals from fault-free
-//     traces (paper §2.2: "the parameters may be calibrated using fault
+//   - ContinuousCalibrator, which derives parameter proposals from
+//     fault-free traces (paper §2.2: "the parameters may be calibrated using fault
 //     injection experiments").
 //
 // Values are int64 so that any integer-valued signal (the paper's target

@@ -8,10 +8,9 @@ import "fmt"
 // a measured value tracking a set point. This file implements that
 // extension:
 //
-//   - Monitor.UpdateContinuous / Monitor.UpdateDiscrete replace a
-//     mode's parameter set at run time (validated against the signal's
-//     class), so a supervisory layer can reshape the acceptance
-//     region;
+//   - Monitor.UpdateContinuous replaces a mode's parameter set at run
+//     time (validated against the signal's class), so a supervisory
+//     layer can reshape the acceptance region;
 //   - EnvelopeTracker derives a time-varying Pcont from a reference
 //     signal: bounds are reference ± tolerance, rate limits follow the
 //     reference's own slew plus a noise allowance.
@@ -31,21 +30,6 @@ func (m *Monitor) UpdateContinuous(mode int, p Continuous) error {
 		return fmt.Errorf("core: monitor %q mode %d: %w", m.name, mode, err)
 	}
 	m.cont[mode] = p
-	return nil
-}
-
-// UpdateDiscrete replaces the parameter set of one mode at run time.
-func (m *Monitor) UpdateDiscrete(mode int, p Discrete) error {
-	if m.disc == nil {
-		return fmt.Errorf("core: monitor %q is not discrete", m.name)
-	}
-	if _, ok := m.disc[mode]; !ok {
-		return fmt.Errorf("%w %d (monitor %q)", ErrUnknownMode, mode, m.name)
-	}
-	if err := p.Validate(m.class); err != nil {
-		return fmt.Errorf("core: monitor %q mode %d: %w", m.name, mode, err)
-	}
-	m.disc[mode] = p.indexed()
 	return nil
 }
 

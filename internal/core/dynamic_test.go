@@ -43,32 +43,6 @@ func TestUpdateContinuous(t *testing.T) {
 	}
 }
 
-func TestUpdateDiscrete(t *testing.T) {
-	p := NewLinear([]int64{0, 1, 2}, true, false)
-	m, err := NewDiscreteSingle("seq", DiscreteSequentialLinear, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Test(0, 0)
-	wider := NewLinear([]int64{0, 1, 2, 3}, true, false)
-	if err := m.UpdateDiscrete(0, wider); err != nil {
-		t.Fatal(err)
-	}
-	m.Test(1, 1)
-	m.Test(2, 2)
-	if _, v := m.Test(3, 3); v != nil {
-		t.Fatalf("value legal under the updated domain flagged: %v", v)
-	}
-	if err := m.UpdateDiscrete(0, Discrete{}); err == nil {
-		t.Error("empty parameter set accepted")
-	}
-	cm, _ := NewContinuousSingle("c", ContinuousRandom,
-		Continuous{Min: 0, Max: 1, Incr: Rate{0, 1}, Decr: Rate{0, 1}})
-	if err := cm.UpdateDiscrete(0, wider); err == nil {
-		t.Error("discrete update on a continuous monitor accepted")
-	}
-}
-
 func TestEnvelopeTrackerFollowsReference(t *testing.T) {
 	e := EnvelopeTracker{Above: 20, Below: 20, Slack: 5, Floor: 0, Ceil: 1000}
 	m, err := NewContinuousSingle("measured", ContinuousRandom, e.Observe(500))

@@ -48,9 +48,7 @@ func (s *fieldStore) StorePrev(v int64) { s.v = v }
 // (bounds/domain only) — but deliberately keeps the active mode and
 // the lifetime test/violation counters, so accounting spans sessions.
 // SetMode keeps s': the first test after a mode switch checks the
-// transition into the new mode against the new parameter set. Prime
-// seeds s' without testing, for a session whose initial value is
-// established out-of-band.
+// transition into the new mode against the new parameter set.
 type Monitor struct {
 	name  string
 	class Class
@@ -190,9 +188,6 @@ func (m *Monitor) Name() string { return m.name }
 // Class returns the signal classification.
 func (m *Monitor) Class() Class { return m.class }
 
-// Mode returns the currently active signal mode.
-func (m *Monitor) Mode() int { return m.mode }
-
 // Tests returns the number of Test calls since construction. It is
 // safe to call concurrently with the driving goroutine's Test calls.
 func (m *Monitor) Tests() uint64 { return atomic.LoadUint64(&m.tests) }
@@ -222,14 +217,6 @@ func (m *Monitor) SetMode(mode int) error {
 func (m *Monitor) Reset() {
 	m.prev.StorePrev(0)
 	m.primed = false
-}
-
-// Prime seeds the previous value without testing, for signals whose
-// initial value is established out-of-band (e.g. memory initialised at
-// node boot).
-func (m *Monitor) Prime(s int64) {
-	m.prev.StorePrev(s)
-	m.primed = true
 }
 
 // Test subjects one observation of the signal to the executable

@@ -75,7 +75,7 @@ func TestQuickInRateAccepted(t *testing.T) {
 func TestQuickOverRateRejected(t *testing.T) {
 	f := func(lo, span, rimax, rdmax, prevRaw int64) bool {
 		p := genParams(lo, span, rimax, rdmax)
-		if p.Span() <= p.Incr.Max+1 {
+		if p.Max-p.Min <= p.Incr.Max+1 {
 			return true // domain too small to exceed the rate inside it
 		}
 		prev := p.Min

@@ -15,33 +15,21 @@ type SinkFunc func(v Violation)
 // Detect implements DetectionSink.
 func (f SinkFunc) Detect(v Violation) { f(v) }
 
-// Recorder is a DetectionSink that stores every violation and the time
-// of the first one, mirroring what the paper's FIC3 records. The zero
-// value is ready to use. Recorder is not safe for concurrent use; the
-// simulation kernel is single-goroutine per run.
+// Recorder is a DetectionSink that stores every violation, mirroring
+// what the paper's FIC3 records. The zero value is ready to use.
+// Recorder is not safe for concurrent use; the simulation kernel is
+// single-goroutine per run.
 type Recorder struct {
 	violations []Violation
-	first      int64
-	hasFirst   bool
 }
 
 var _ DetectionSink = (*Recorder)(nil)
 
 // Detect implements DetectionSink.
-func (r *Recorder) Detect(v Violation) {
-	if !r.hasFirst {
-		r.first = v.Time
-		r.hasFirst = true
-	}
-	r.violations = append(r.violations, v)
-}
+func (r *Recorder) Detect(v Violation) { r.violations = append(r.violations, v) }
 
 // Detected reports whether at least one violation was recorded.
-func (r *Recorder) Detected() bool { return r.hasFirst }
-
-// FirstTime returns the timestamp of the first recorded violation and
-// whether one exists.
-func (r *Recorder) FirstTime() (int64, bool) { return r.first, r.hasFirst }
+func (r *Recorder) Detected() bool { return len(r.violations) > 0 }
 
 // Count returns the number of recorded violations.
 func (r *Recorder) Count() int { return len(r.violations) }
@@ -53,37 +41,4 @@ func (r *Recorder) Violations() []Violation {
 }
 
 // Reset clears the recorder for reuse between experiment runs.
-func (r *Recorder) Reset() {
-	r.violations = r.violations[:0]
-	r.first = 0
-	r.hasFirst = false
-}
-
-// multiSink fans a violation out to several sinks.
-type multiSink []DetectionSink
-
-// Detect implements DetectionSink.
-func (m multiSink) Detect(v Violation) {
-	for _, s := range m {
-		s.Detect(v)
-	}
-}
-
-// MultiSink combines sinks; nil entries are dropped. It returns nil
-// when no usable sink remains, which monitors treat as "discard".
-func MultiSink(sinks ...DetectionSink) DetectionSink {
-	var out multiSink
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	default:
-		return out
-	}
-}
+func (r *Recorder) Reset() { r.violations = r.violations[:0] }

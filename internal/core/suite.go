@@ -22,7 +22,6 @@ import (
 // suite's accounting while its shard goroutine keeps ticking it.
 type Suite struct {
 	monitors map[string]*Monitor
-	order    []string
 
 	window    int64
 	threshold int
@@ -89,21 +88,8 @@ func (s *Suite) Add(m *Monitor) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateMonitor, m.Name())
 	}
 	s.monitors[m.Name()] = m
-	s.order = append(s.order, m.Name())
 	return nil
 }
-
-// Monitor returns the registered monitor with the given name.
-func (s *Suite) Monitor(name string) (*Monitor, bool) {
-	m, ok := s.monitors[name]
-	return m, ok
-}
-
-// Names returns the registered monitor names in registration order.
-func (s *Suite) Names() []string { return append([]string(nil), s.order...) }
-
-// Len returns the number of registered monitors.
-func (s *Suite) Len() int { return len(s.monitors) }
 
 // Test routes one observation to the named monitor and feeds the
 // escalation window.
@@ -147,16 +133,6 @@ func (s *Suite) recordViolation(now int64) {
 
 // Alarms returns the number of raised escalation episodes.
 func (s *Suite) Alarms() int { return s.alarms }
-
-// ResetAll resets every monitor and the escalation state (new run).
-func (s *Suite) ResetAll() {
-	for _, m := range s.monitors {
-		m.Reset()
-	}
-	s.recent = s.recent[:0]
-	s.inEpisode = false
-	s.lastViol = 0
-}
 
 // MonitorStats is one monitor's accounting snapshot.
 type MonitorStats struct {

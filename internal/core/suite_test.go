@@ -29,16 +29,13 @@ func suiteWithMonitors(t *testing.T, opts ...SuiteOption) *Suite {
 
 func TestSuiteRegistry(t *testing.T) {
 	s := suiteWithMonitors(t)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.monitors) != 2 {
+		t.Fatalf("%d monitors registered", len(s.monitors))
 	}
-	if names := s.Names(); len(names) != 2 || names[0] != "temp" || names[1] != "mode" {
-		t.Fatalf("Names = %v", names)
-	}
-	if _, ok := s.Monitor("temp"); !ok {
+	if _, ok := s.monitors["temp"]; !ok {
 		t.Error("temp not found")
 	}
-	if _, ok := s.Monitor("ghost"); ok {
+	if _, ok := s.monitors["ghost"]; ok {
 		t.Error("ghost found")
 	}
 	dup, _ := NewContinuousSingle("temp", ContinuousRandom,
@@ -108,17 +105,6 @@ func TestSuiteEscalationWindowExpiry(t *testing.T) {
 	s.Test(260, "temp", 90)
 	if alarms != 0 {
 		t.Fatalf("alarm despite sparse violations")
-	}
-}
-
-func TestSuiteResetAll(t *testing.T) {
-	s := suiteWithMonitors(t, WithEscalation(1, 100, 50, func(Alarm) {}))
-	s.Test(0, "temp", 50)
-	s.Test(1, "temp", 90)
-	s.ResetAll()
-	// Monitors are unprimed again: a big first value passes bounds.
-	if _, v, _ := s.Test(2, "temp", 95); v != nil {
-		t.Fatalf("post-reset first observation flagged: %v", v)
 	}
 }
 

@@ -123,13 +123,13 @@ func PlanShards(spec Spec, exp string, casesPerShard int) ([]Shard, error) {
 	return shards, nil
 }
 
-// ExpectedShardKeys enumerates the exact run coordinates a shard's
+// expectedShardKeys enumerates the exact run coordinates a shard's
 // journal must contain, mapped to their required per-run seeds. The
 // service validates every uploaded shard journal against this set: a
 // missing key means the upload is incomplete (e.g. truncated by a
 // worker crash mid-batch), a foreign key means the worker ran the wrong
 // shard, and a wrong seed means it ran a different campaign.
-func ExpectedShardKeys(spec Spec, exp string, cases []int) (map[journal.Key]int64, error) {
+func expectedShardKeys(spec Spec, exp string, cases []int) (map[journal.Key]int64, error) {
 	cfg := Config{Spec: spec}.withDefaults()
 	nErr, err := cfg.Spec.errorCount(exp)
 	if err != nil {
@@ -166,7 +166,7 @@ func ValidateShardJournal(spec Spec, exp string, shard Shard, runner string, log
 		return fmt.Errorf("experiment: shard %d journal was recorded by the %s engine, campaign requires %s",
 			shard.Index, h.Runner, runner)
 	}
-	want, err := ExpectedShardKeys(spec, exp, shard.Cases)
+	want, err := expectedShardKeys(spec, exp, shard.Cases)
 	if err != nil {
 		return err
 	}

@@ -60,13 +60,13 @@ func TestPlanShards(t *testing.T) {
 
 func TestExpectedShardKeys(t *testing.T) {
 	spec := shardTestSpec(7)
-	keys, err := ExpectedShardKeys(spec, ExperimentE1, []int{2})
+	keys, err := expectedShardKeys(spec, ExperimentE1, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nErr, _ := spec.errorCount(ExperimentE1)
 	if want := nErr * len(spec.Versions); len(keys) != want {
-		t.Fatalf("ExpectedShardKeys = %d keys, want %d", len(keys), want)
+		t.Fatalf("expectedShardKeys = %d keys, want %d", len(keys), want)
 	}
 	for k, seed := range keys {
 		if k.CaseIdx != 2 {
@@ -77,13 +77,13 @@ func TestExpectedShardKeys(t *testing.T) {
 		}
 	}
 	// E2 keys carry only the All version.
-	keys, err = ExpectedShardKeys(spec, ExperimentE2, []int{0, 1})
+	keys, err = expectedShardKeys(spec, ExperimentE2, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nErr, _ = spec.errorCount(ExperimentE2)
 	if want := nErr * 2; len(keys) != want {
-		t.Fatalf("E2 ExpectedShardKeys = %d keys, want %d", len(keys), want)
+		t.Fatalf("E2 expectedShardKeys = %d keys, want %d", len(keys), want)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestExperimentName(t *testing.T) {
 // fakeShardJournal fabricates a complete in-memory shard journal for
 // validation tests (no campaign execution).
 func fakeShardJournal(spec Spec, exp string, cases []int, runner string) *journal.Log {
-	keys, err := ExpectedShardKeys(spec, exp, cases)
+	keys, err := expectedShardKeys(spec, exp, cases)
 	if err != nil {
 		panic(err)
 	}

@@ -23,6 +23,17 @@ type Policy struct {
 // half a second into the arrestment.
 func DefaultPolicy() Policy { return Policy{StartMs: 500, PeriodMs: 20} }
 
+// Validate rejects a schedule whose first injection precedes the run.
+// The literal runner steps the plant from 0 ms while the snapshot
+// engine resumes from its checkpoint at StartMs, so under a negative
+// start the two would simulate different windows.
+func (p Policy) Validate() error {
+	if p.StartMs < 0 {
+		return fmt.Errorf("injection start must be at least 0 ms, got %d", p.StartMs)
+	}
+	return nil
+}
+
 // DefaultObservationMs is the paper's 40-second observation period.
 const DefaultObservationMs = 40000
 

@@ -114,25 +114,3 @@ func (l *Liveness) Live(addr uint16) bool {
 	}
 	return l.live[addr-l.base]
 }
-
-// LiveBytes counts the live bytes across the tracked regions.
-func (l *Liveness) LiveBytes() int {
-	n := 0
-	for _, r := range l.regions {
-		for a := uint32(r.Base); a < r.End(); a++ {
-			if l.live[uint16(a)-l.base] {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// TrackedBytes counts all bytes of the tracked regions.
-func (l *Liveness) TrackedBytes() int {
-	n := 0
-	for _, r := range l.regions {
-		n += int(r.Size)
-	}
-	return n
-}

@@ -65,13 +65,6 @@ func NewMemoRunner(cfg RunConfig) (*MemoRunner, error) {
 	}, nil
 }
 
-// Engine exposes the wrapped snapshot engine (tests and tools).
-func (r *MemoRunner) Engine() *Engine { return r.eng }
-
-// Liveness exposes the computed liveness map; nil before the first
-// RunError.
-func (r *MemoRunner) Liveness() *Liveness { return r.live }
-
 // Stats implements StatsReporter. Simulated counts the errors the
 // wrapped engine actually profiled (the one nominal liveness profile is
 // not counted as an error).

@@ -174,8 +174,17 @@ func TestMemoRunnerMatchesEngine(t *testing.T) {
 	if st.Pruned == 0 {
 		t.Error("expected some pruned errors over the exhaustive slice")
 	}
-	if lb := mr.Liveness().LiveBytes(); lb == 0 || lb == mr.Liveness().TrackedBytes() {
-		t.Errorf("liveness map degenerate: %d of %d bytes live", lb, mr.Liveness().TrackedBytes())
+	live, tracked := 0, 0
+	for _, b := range mr.live.live {
+		if b {
+			live++
+		}
+	}
+	for _, r := range mr.live.regions {
+		tracked += int(r.Size)
+	}
+	if live == 0 || live == tracked {
+		t.Errorf("liveness map degenerate: %d of %d bytes live", live, tracked)
 	}
 }
 
@@ -237,7 +246,7 @@ func TestPrunedFaultsAreBenign(t *testing.T) {
 	}
 	var pruned []Error
 	for i, e := range BuildExhaustive() {
-		if !mr.Liveness().Live(e.Addr) && i%151 == 0 {
+		if !mr.live.Live(e.Addr) && i%151 == 0 {
 			pruned = append(pruned, e)
 		}
 	}

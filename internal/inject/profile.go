@@ -47,10 +47,6 @@ type CaseProfile struct {
 	baseMem [][]byte
 }
 
-// Live exposes the liveness map of the full stage (nil for a
-// prefix-only profile).
-func (p *CaseProfile) Live() *Liveness { return p.live }
-
 // profileEntry is one cache slot. The two stages are guarded by
 // separate sync.Onces so snapshot-mode campaigns never pay for the
 // full-window profile that only the memo runner needs.

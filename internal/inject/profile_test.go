@@ -91,7 +91,7 @@ func TestProfileCacheComputesOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got a distinct profile %p != %p", i, ps[i], ps[0])
 		}
 	}
-	if ps[0].Live() == nil {
+	if ps[0].live == nil {
 		t.Fatal("full stage requested by half the goroutines but liveness map is nil")
 	}
 }
@@ -165,7 +165,7 @@ func TestSharedMemoCrossRunner(t *testing.T) {
 	var live Error
 	found := false
 	for _, e := range BuildExhaustive() {
-		if p.Live().Live(e.Addr) {
+		if p.live.Live(e.Addr) {
 			live, found = e, true
 			break
 		}

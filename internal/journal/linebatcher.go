@@ -53,9 +53,6 @@ func (b *LineBatcher) Flush() error {
 	return b.err
 }
 
-// Err returns the first write error, if any.
-func (b *LineBatcher) Err() error { return b.err }
-
 func (b *LineBatcher) flush() {
 	if len(b.buf) == 0 {
 		return

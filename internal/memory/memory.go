@@ -36,8 +36,7 @@ var (
 	ErrEmptyRegion = errors.New("memory: region size must be positive")
 	// ErrOutOfRange reports an access outside every region.
 	ErrOutOfRange = errors.New("memory: address out of range")
-	// ErrBit reports a bit index outside 0..7 for byte operations or
-	// 0..15 for word operations.
+	// ErrBit reports a bit index outside 0..7.
 	ErrBit = errors.New("memory: bit index out of range")
 )
 
@@ -48,7 +47,7 @@ type region struct {
 
 // AccessSink observes the target software's memory traffic: every read
 // and write the software performs through Memory or Var16 accessors.
-// The fault injector's own primitives (FlipBit, FlipWordBit) and the
+// The fault injector's own primitive (FlipBit) and the
 // checkpoint machinery (Snapshot, Capture, Restore*) are NOT reported —
 // they are the experiment apparatus, not data flow of the program under
 // test. The def/use liveness pass of internal/inject uses the sink to
@@ -56,8 +55,8 @@ type region struct {
 // next read.
 type AccessSink interface {
 	// OnAccess reports one n-byte access starting at addr. write is
-	// true for stores, false for loads; read-modify-write accessors
-	// (Var16.Add, AddSat) report a load followed by a store.
+	// true for stores, false for loads; the read-modify-write accessor
+	// Var16.Add reports a load followed by a store.
 	OnAccess(addr uint16, n int, write bool)
 }
 
@@ -117,28 +116,6 @@ func (m *Memory) Regions() []RegionSpec {
 		out[i] = r.spec
 	}
 	return out
-}
-
-// RegionNamed returns the specification of the named region.
-func (m *Memory) RegionNamed(name string) (RegionSpec, bool) {
-	for _, r := range m.regions {
-		if r.spec.Name == name {
-			return r.spec, true
-		}
-	}
-	return RegionSpec{}, false
-}
-
-// ByteAt returns the byte stored at addr.
-func (m *Memory) ByteAt(addr uint16) (byte, error) {
-	r, off, err := m.find(addr)
-	if err != nil {
-		return 0, err
-	}
-	if m.sink != nil {
-		m.sink.OnAccess(addr, 1, false)
-	}
-	return r.data[off], nil
 }
 
 // SetByteAt stores b at addr.
@@ -201,19 +178,6 @@ func (m *Memory) FlipBit(addr uint16, bit uint8) error {
 	}
 	r.data[off] ^= 1 << bit
 	return nil
-}
-
-// FlipWordBit inverts one bit (0 = least significant) of the 16-bit
-// big-endian word at addr, matching the paper's per-bit-position E1
-// errors on 16-bit signals.
-func (m *Memory) FlipWordBit(addr uint16, bit uint8) error {
-	if bit > 15 {
-		return fmt.Errorf("%w: %d", ErrBit, bit)
-	}
-	if bit < 8 {
-		return m.FlipBit(addr+1, bit)
-	}
-	return m.FlipBit(addr, bit-8)
 }
 
 // Zero clears every region to all-zero bytes.

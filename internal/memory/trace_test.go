@@ -46,8 +46,7 @@ func TestAccessSinkSeesSoftwareTraffic(t *testing.T) {
 
 	v.Set(0x1234)
 	_ = v.Get()
-	v.Add(1)    // read-modify-write: load then store
-	v.AddSat(1) // same
+	v.Add(1) // read-modify-write: load then store
 	if err := m.WriteU16(0x204, 0xBEEF); err != nil {
 		t.Fatal(err)
 	}
@@ -57,19 +56,14 @@ func TestAccessSinkSeesSoftwareTraffic(t *testing.T) {
 	if err := m.SetByteAt(0x120, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ByteAt(0x120); err != nil {
-		t.Fatal(err)
-	}
 
 	want := []access{
 		{0x110, 2, true},
 		{0x110, 2, false},
 		{0x110, 2, false}, {0x110, 2, true},
-		{0x110, 2, false}, {0x110, 2, true},
 		{0x204, 2, true},
 		{0x204, 2, false},
 		{0x120, 1, true},
-		{0x120, 1, false},
 	}
 	if !reflect.DeepEqual(sink.got, want) {
 		t.Fatalf("traced accesses:\n got %v\nwant %v", sink.got, want)
@@ -85,9 +79,6 @@ func TestAccessSinkIgnoresInjectorAndCheckpoints(t *testing.T) {
 	m.SetAccessSink(sink)
 
 	if err := m.FlipBit(0x110, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.FlipWordBit(0x110, 12); err != nil {
 		t.Fatal(err)
 	}
 	var img Image

@@ -12,7 +12,6 @@ import "fmt"
 // nanoseconds, which keeps full 40-second, 1 ms-resolution experiment
 // runs cheap enough for 27 400-run campaigns.
 type Var16 struct {
-	name string
 	addr uint16
 	buf  []byte  // region backing store
 	off  uint16  // offset of the high byte inside buf
@@ -29,7 +28,7 @@ func Bind(m *Memory, name string, addr uint16) (Var16, error) {
 	if int(off)+1 >= len(buf) {
 		return Var16{}, fmt.Errorf("memory: binding %q: word at 0x%04x crosses region end", name, addr)
 	}
-	return Var16{name: name, addr: addr, buf: buf, off: off, mem: m}, nil
+	return Var16{addr: addr, buf: buf, off: off, mem: m}, nil
 }
 
 // MustBind is Bind for statically known layouts; it panics on error.
@@ -43,14 +42,8 @@ func MustBind(m *Memory, name string, addr uint16) Var16 {
 	return v
 }
 
-// Name returns the variable name used in reports.
-func (v Var16) Name() string { return v.name }
-
 // Addr returns the bound address of the high byte.
 func (v Var16) Addr() uint16 { return v.addr }
-
-// Valid reports whether the variable is bound.
-func (v Var16) Valid() bool { return v.buf != nil }
 
 // Get returns the current unsigned value.
 func (v Var16) Get() uint16 {
@@ -69,14 +62,6 @@ func (v Var16) Set(x uint16) {
 	v.buf[v.off+1] = byte(x)
 }
 
-// GetSigned returns the value interpreted as a two's-complement int16,
-// widened to int32 for arithmetic convenience.
-func (v Var16) GetSigned() int32 { return int32(int16(v.Get())) }
-
-// SetSigned stores a signed value, truncating to 16 bits like the
-// target's store instruction would.
-func (v Var16) SetSigned(x int32) { v.Set(uint16(int16(x))) }
-
 // Add adds d to the stored unsigned value with 16-bit wrap-around and
 // returns the new value (the CLOCK module's millisecond counter relies
 // on this wrap behaviour).
@@ -84,18 +69,4 @@ func (v Var16) Add(d uint16) uint16 {
 	x := v.Get() + d
 	v.Set(x)
 	return x
-}
-
-// AddSat adds d (which may be negative) to the stored unsigned value,
-// saturating at 0 and 65535 instead of wrapping.
-func (v Var16) AddSat(d int32) uint16 {
-	x := int32(v.Get()) + d
-	if x < 0 {
-		x = 0
-	}
-	if x > 0xFFFF {
-		x = 0xFFFF
-	}
-	v.Set(uint16(x))
-	return uint16(x)
 }

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"easig/internal/experiment"
 )
 
-// The optimizer reuses the campaign reporter split (experiment.Output
-// carries the destination; fic and CI share the byte-identical
-// rendering) but defines its own Format set: a sweep's deliverable is a
+// The optimizer defines its own Format set: a sweep's deliverable is a
 // Pareto front and a recommendation table, not the paper's Tables 7-9.
+// `fic optimize` emits the rendering through an experiment.Output, the
+// destination type campaign reports use.
 // Every format renders only deterministic fields — Report.Metrics
 // (wall-clock telemetry) is excluded — so a resumed sweep's report
 // diffs clean against the uninterrupted run's.
@@ -25,23 +23,6 @@ type Format interface {
 	Name() string
 	// Render writes the formatted report to w.
 	Render(w io.Writer, r *Report) error
-}
-
-// Reporter pairs a Format with an experiment.Output destination.
-type Reporter struct {
-	Format Format
-	Output experiment.Output
-}
-
-// Report renders the sweep report through the reporter's format into
-// its output.
-func (rep Reporter) Report(r *Report) error {
-	if rep.Format == nil || rep.Output == nil {
-		return fmt.Errorf("optimize: reporter needs both a format and an output")
-	}
-	return rep.Output.Emit(func(w io.Writer) error {
-		return rep.Format.Render(w, r)
-	})
 }
 
 // ParseFormat resolves a format name to its Format.

@@ -150,7 +150,7 @@ type chunk struct {
 const probeChunkErrors = 64
 
 // Report is a finished sweep: the full scored lattice, the Pareto
-// front, and the per-budget recommendations. Reporter renders it;
+// front, and the per-budget recommendations. A Format renders it;
 // Metrics is execution telemetry (wall-clock) and is excluded from
 // every rendered format so that a resumed sweep's report is
 // byte-identical to the uninterrupted one.

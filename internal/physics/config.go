@@ -99,6 +99,3 @@ func Grid(n int) []TestCase {
 	}
 	return out
 }
-
-// Grid25 returns the paper's 25-test-case grid.
-func Grid25() []TestCase { return Grid(5) }

@@ -97,12 +97,6 @@ func NewEnv(cst Constants, table ForceTable, tc TestCase, seed int64) (*Env, err
 	}, nil
 }
 
-// TestCase returns the run's test case.
-func (e *Env) TestCase() TestCase { return e.tc }
-
-// FmaxN returns the allowed force for this test case in newtons.
-func (e *Env) FmaxN() float64 { return e.fmaxN }
-
 // StepMs advances the plant by one millisecond: valve lag, cable force,
 // aircraft kinematics, and the failure monitor.
 func (e *Env) StepMs() {

@@ -233,17 +233,17 @@ func TestFmaxNReadout(t *testing.T) {
 	tc := TestCase{MassKg: 14000, VelocityMS: 55}
 	e := newTestEnv(t, tc, 1)
 	want := DefaultForceTable().Fmax(tc.MassKg, tc.VelocityMS)
-	if e.FmaxN() != want {
-		t.Errorf("FmaxN = %g, want %g", e.FmaxN(), want)
+	if e.fmaxN != want {
+		t.Errorf("fmaxN = %g, want %g", e.fmaxN, want)
 	}
-	if e.TestCase() != tc {
-		t.Errorf("TestCase = %+v", e.TestCase())
+	if e.tc != tc {
+		t.Errorf("tc = %+v", e.tc)
 	}
 }
 
 func TestGrid(t *testing.T) {
-	if got := len(Grid25()); got != 25 {
-		t.Fatalf("Grid25 has %d cases", got)
+	if got := len(Grid(5)); got != 25 {
+		t.Fatalf("Grid(5) has %d cases", got)
 	}
 	g := Grid(3)
 	if len(g) != 9 {

@@ -106,7 +106,7 @@ func TestQuickFmaxMonotonicity(t *testing.T) {
 // stays well under the default Fmax over the whole paper grid.
 func TestDefaultTableNominalMargin(t *testing.T) {
 	f := DefaultForceTable()
-	for _, tc := range Grid25() {
+	for _, tc := range Grid(5) {
 		nominal := tc.MassKg * tc.VelocityMS * tc.VelocityMS / (2 * 290)
 		fmax := f.Fmax(tc.MassKg, tc.VelocityMS)
 		if fmax < nominal*1.4 {

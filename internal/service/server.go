@@ -169,6 +169,9 @@ func (s *Server) normalize(req SubmitRequest) (SubmitRequest, string, inject.Mod
 	if err != nil {
 		return req, "", 0, err
 	}
+	if err := req.Spec.Policy.Validate(); err != nil {
+		return req, "", 0, fmt.Errorf("spec.policy.start_ms: %w", err)
+	}
 	mode, err := inject.ParseMode(req.Engine)
 	if err != nil {
 		return req, "", 0, err

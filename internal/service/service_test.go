@@ -308,11 +308,15 @@ func TestEventsStreamAndAPIErrors(t *testing.T) {
 		t.Fatalf("unknown format: HTTP %d, want 400", code)
 	}
 
-	// Submissions with broken kinds or pre-set Cases are rejected.
+	// Submissions with broken kinds, pre-set Cases, unknown engines or
+	// a negative injection start are rejected.
+	negStart := spec
+	negStart.Policy = inject.Policy{StartMs: -5, PeriodMs: 20}
 	for _, bad := range []SubmitRequest{
 		{Kind: "e9", Spec: spec},
 		{Kind: "e1", Spec: experiment.Spec{Grid: 2, Cases: []int{0}}},
 		{Kind: "e1", Spec: spec, Engine: "warp"},
+		{Kind: "e1", Spec: negStart},
 	} {
 		body, _ := json.Marshal(bad)
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", bytes.NewReader(body))

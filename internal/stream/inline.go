@@ -67,7 +67,3 @@ func (in *Inline) Detections() ([]byte, error) {
 	}
 	return in.sink.snapshot()
 }
-
-// Stream returns a stream's state for counter inspection in tests, or
-// nil if the stream never sent a sample.
-func (in *Inline) Stream(id uint32) *streamState { return in.streams[id] }

@@ -44,7 +44,6 @@ func (p ramPrev) StorePrev(x int64) { p.v.Set(uint16(x)) }
 // 1, receives the set point). All application state lives in the node's
 // Memory.
 type Node struct {
-	name   string
 	master bool
 	drum   int
 	env    *physics.Env
@@ -82,7 +81,7 @@ type Node struct {
 
 // newNode allocates a node's memory, writes the boot image and builds
 // the executable-assertion monitors the version enables.
-func newNode(name string, isMaster bool, drum int, env *physics.Env, lnk *link,
+func newNode(isMaster bool, drum int, env *physics.Env, lnk *link,
 	version Version, sink core.DetectionSink, recovery core.RecoveryPolicy,
 	placement Placement, massKg float64) (*Node, error) {
 
@@ -94,7 +93,6 @@ func newNode(name string, isMaster bool, drum int, env *physics.Env, lnk *link,
 		return nil, err
 	}
 	n := &Node{
-		name:      name,
 		master:    isMaster,
 		drum:      drum,
 		env:       env,
@@ -163,9 +161,6 @@ func newNode(name string, isMaster bool, drum int, env *physics.Env, lnk *link,
 	return n, nil
 }
 
-// Name returns "master" or "slave".
-func (n *Node) Name() string { return n.name }
-
 // Memory returns the node's injectable memory.
 func (n *Node) Memory() *memory.Memory { return n.mem }
 
@@ -181,10 +176,6 @@ func (n *Node) Vars() Vars {
 		OutValue:  n.sig[sigOutValue],
 	}
 }
-
-// Dead reports whether the node has crashed (lost control flow after
-// stack corruption). A dead node never runs another module.
-func (n *Node) Dead() bool { return n.dead }
 
 // test runs the signal's executable assertion — when this version
 // enables it — on the current in-memory value at its Table 4 test

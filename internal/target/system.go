@@ -76,12 +76,12 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	sys := &System{env: env}
-	sys.master, err = newNode("master", true, physics.DrumMaster, env, &sys.lnk,
+	sys.master, err = newNode(true, physics.DrumMaster, env, &sys.lnk,
 		cfg.Version, cfg.Sink, recovery, cfg.Placement, cfg.TestCase.MassKg)
 	if err != nil {
 		return nil, err
 	}
-	sys.slave, err = newNode("slave", false, physics.DrumSlave, env, &sys.lnk,
+	sys.slave, err = newNode(false, physics.DrumSlave, env, &sys.lnk,
 		cfg.SlaveVersion, cfg.SlaveSink, recovery, cfg.Placement, cfg.TestCase.MassKg)
 	if err != nil {
 		return nil, err
@@ -108,9 +108,6 @@ func (s *System) RunMs(n int) {
 
 // Master returns the master node.
 func (s *System) Master() *Node { return s.master }
-
-// Slave returns the slave node.
-func (s *System) Slave() *Node { return s.slave }
 
 // Env returns the physical environment.
 func (s *System) Env() *physics.Env { return s.env }

@@ -79,7 +79,7 @@ func TestSlaveTracksSetPoint(t *testing.T) {
 	sys := newTestSystem(t, SystemConfig{})
 	sys.RunMs(3000)
 	m := int64(sys.Master().Vars().SetValue.Get())
-	s := int64(sys.Slave().Vars().SetValue.Get())
+	s := int64(sys.slave.Vars().SetValue.Get())
 	if m == 0 {
 		t.Fatalf("master set point still zero after 3 s")
 	}
@@ -121,7 +121,7 @@ func TestCanaryCorruptionCrashesNode(t *testing.T) {
 		t.Fatalf("FlipBit: %v", err)
 	}
 	sys.StepMs()
-	if !sys.Master().Dead() {
+	if !sys.master.dead {
 		t.Fatalf("node survived a corrupted dispatcher canary")
 	}
 	ms := sys.Master().Vars().MsCnt.Get()

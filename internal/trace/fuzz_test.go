@@ -20,7 +20,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(s.Traces()) == 0 {
+		if len(s.traces) == 0 {
 			t.Fatal("parsed set without traces")
 		}
 		var buf bytes.Buffer
@@ -31,11 +31,11 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parsing our own encoding failed: %v", err)
 		}
-		if len(again.Traces()) != len(s.Traces()) {
-			t.Fatalf("round trip changed trace count %d -> %d", len(s.Traces()), len(again.Traces()))
+		if len(again.traces) != len(s.traces) {
+			t.Fatalf("round trip changed trace count %d -> %d", len(s.traces), len(again.traces))
 		}
-		for i, tr := range s.Traces() {
-			got := again.Traces()[i]
+		for i, tr := range s.traces {
+			got := again.traces[i]
 			if got.Name != tr.Name || got.Len() != tr.Len() {
 				t.Fatalf("round trip changed trace %q", tr.Name)
 			}

@@ -72,9 +72,6 @@ func NewSet(periodMs int64, names ...string) *Set {
 	return s
 }
 
-// Traces returns the traces in declaration order.
-func (s *Set) Traces() []*Trace { return s.traces }
-
 // Trace returns the trace with the given name.
 func (s *Set) Trace(name string) (*Trace, bool) {
 	for _, t := range s.traces {

@@ -44,7 +44,7 @@ func TestSetAppend(t *testing.T) {
 	if _, ok := s.Trace("z"); ok {
 		t.Error("unknown trace found")
 	}
-	if len(s.Traces()) != 2 {
+	if len(s.traces) != 2 {
 		t.Error("Traces() wrong length")
 	}
 }

@@ -3,6 +3,7 @@ package easig
 import (
 	"easig/internal/experiment"
 	"easig/internal/inject"
+	"easig/internal/journal"
 	"easig/internal/physics"
 	"easig/internal/target"
 )
@@ -117,9 +118,13 @@ type CampaignExec = experiment.Exec
 // CampaignConfig parameterises a campaign; the zero value runs the
 // paper's full §3.4 protocol. It embeds CampaignSpec (the serializable
 // protocol) and CampaignExec (dispatch options). Set Journal, Resume,
-// Progress and Context (see JournalWriter, JournalLog and
-// ProgressEvent) to record, resume and observe a long campaign.
+// Progress and Context to record, resume and observe a long campaign.
 type CampaignConfig = experiment.Config
+
+// CampaignMetrics summarizes a finished campaign's execution: live and
+// replayed run counts, wall time, throughput and per-worker
+// utilization. Campaign results carry one in their Metrics field.
+type CampaignMetrics = journal.Metrics
 
 // E1Result aggregates an E1 campaign (Tables 7 and 8).
 type E1Result = experiment.E1Result
