@@ -55,10 +55,9 @@ func TestViolatingTickZeroAlloc(t *testing.T) {
 	}
 	ticks := 2048
 	avg := testing.AllocsPerRun(3, func() {
-		if err := eng.sys.Restore(&eng.base); err != nil {
+		if err := eng.rewind(); err != nil {
 			t.Fatal(err)
 		}
-		eng.rec.truncate(&eng.baseLen, &eng.baseEA)
 		for i := 0; i < ticks; i++ {
 			if (i % int(eng.policy.PeriodMs)) == 0 {
 				if err := e.Apply(eng.mem); err != nil {

@@ -31,11 +31,31 @@ type plantReadout struct {
 	x, maxForce, maxAccel float64
 }
 
-// eaStream records one executable assertion's violations during a
-// profile run: the violation times and fired Table 2/3 constraints in
-// time order, plus the plant readout at the end of the first-violation
-// tick (the candidate early-exit point of any version whose first
-// detection this assertion is).
+func readPlant(env *physics.Env) plantReadout {
+	return plantReadout{x: env.Distance(), maxForce: env.PeakForce(), maxAccel: env.PeakRetardation()}
+}
+
+// endState is the plant verdict at the end of a profile run.
+type endState struct {
+	final   plantReadout
+	stopMs  int64
+	stopped bool
+	failure physics.Failure
+	failed  bool
+}
+
+func readEnd(env *physics.Env) endState {
+	end := endState{final: readPlant(env)}
+	end.stopMs, end.stopped = env.Stopped()
+	end.failure, end.failed = env.Failure()
+	return end
+}
+
+// eaStream records one executable assertion's violations on one node:
+// the violation times and fired Table 2/3 constraints in time order,
+// plus, on the master, the plant readout at the end of the
+// first-violation tick (the candidate early-exit point of any version
+// whose first detection this assertion is).
 type eaStream struct {
 	times []int64
 	ids   []core.TestID
@@ -44,44 +64,87 @@ type eaStream struct {
 	haveReadout bool
 }
 
-// recorder is the profile run's detection sink: it demultiplexes the
-// master node's violation stream per executable assertion, which is
-// what lets one all-assertions run stand in for every version build.
-type recorder struct {
-	sigIdx map[string]int
-	ea     [target.NumEAs]eaStream
+// first is the stream's first violation time, -1 when it is empty.
+func (s *eaStream) first() int64 {
+	if len(s.times) == 0 {
+		return -1
+	}
+	return s.times[0]
 }
 
-func newRecorder() *recorder {
-	r := &recorder{sigIdx: make(map[string]int, target.NumEAs)}
-	for k, name := range target.SignalNames() {
-		r.sigIdx[name] = k
+// copyFrom overwrites s with o, reusing s's buffers.
+func (s *eaStream) copyFrom(o *eaStream) {
+	s.times = append(s.times[:0], o.times...)
+	s.ids = append(s.ids[:0], o.ids...)
+	s.readout, s.haveReadout = o.readout, o.haveReadout
+}
+
+// runState is everything a profile run has recorded: both nodes'
+// violation streams, demultiplexed per executable assertion, and the
+// plant readout at the end of the tick that latched a failure. An
+// Engine keeps one at its snapshot (start) and one for the run in
+// progress (cur); the nominal profile keeps the fault-free run's.
+type runState struct {
+	master, slave [target.NumEAs]eaStream
+
+	fail     plantReadout
+	haveFail bool
+}
+
+// copyFrom overwrites s with o, reusing s's stream buffers.
+func (s *runState) copyFrom(o *runState) {
+	for k := range s.master {
+		s.master[k].copyFrom(&o.master[k])
+		s.slave[k].copyFrom(&o.slave[k])
 	}
-	return r
+	s.fail, s.haveFail = o.fail, o.haveFail
+}
+
+// eaIndex maps a monitored signal name to its assertion index.
+var eaIndex = func() map[string]int {
+	m := make(map[string]int, target.NumEAs)
+	for k, name := range target.SignalNames() {
+		m[name] = k
+	}
+	return m
+}()
+
+// recorder is one node's detection sink: it demultiplexes the node's
+// violations into per-assertion streams, which is what lets one
+// all-assertions run stand in for every version build and every
+// optimizer configuration.
+type recorder struct {
+	ea *[target.NumEAs]eaStream
 }
 
 // Detect implements core.DetectionSink.
-func (r *recorder) Detect(v core.Violation) {
-	k, ok := r.sigIdx[v.Signal]
-	if !ok {
-		return
+func (r recorder) Detect(v core.Violation) {
+	if k, ok := eaIndex[v.Signal]; ok {
+		s := &r.ea[k]
+		s.times = append(s.times, v.Time)
+		s.ids = append(s.ids, v.Test)
 	}
-	s := &r.ea[k]
-	s.times = append(s.times, v.Time)
-	s.ids = append(s.ids, v.Test)
 }
 
-// truncate rewinds the recorder to the stream lengths and first-tick
-// readouts captured with the nominal prefix, reusing the stream
-// buffers.
-func (r *recorder) truncate(lens *[target.NumEAs]int, readouts *[target.NumEAs]eaStream) {
-	for k := range r.ea {
-		s := &r.ea[k]
-		s.times = s.times[:lens[k]]
-		s.ids = s.ids[:lens[k]]
-		s.readout = readouts[k].readout
-		s.haveReadout = readouts[k].haveReadout
-	}
+// newProfileSystem builds the system every profile run simulates: the
+// all-assertions build on both nodes, detection-only, with each node's
+// violations recorded into st. Faults are injected into master memory
+// and the slave sees only what propagates over the set-point link, so
+// its streams are genuinely different data that the optimizer's slave
+// placements score.
+func newProfileSystem(cfg RunConfig, st *runState) (*target.System, error) {
+	return target.NewSystem(target.SystemConfig{
+		Constants:    cfg.Constants,
+		ForceTable:   cfg.ForceTable,
+		TestCase:     cfg.TestCase,
+		Seed:         cfg.Seed,
+		Version:      target.VersionAll,
+		SlaveVersion: target.VersionAll,
+		Sink:         recorder{&st.master},
+		SlaveSink:    recorder{&st.slave},
+		Recovery:     core.NoRecovery{},
+		Placement:    cfg.Placement,
+	})
 }
 
 // Engine is the snapshot/fast-forward experiment controller: a
@@ -93,34 +156,40 @@ func (r *recorder) truncate(lens *[target.NumEAs]int, readouts *[target.NumEAs]e
 // once, captures the complete system state (target.SystemState), and
 // then serves every error of the test case by restoring the snapshot,
 // flipping the error's bit on the §3.2 schedule and profiling the run
-// with all executable assertions enabled. Because campaign runs are detection-only (core.NoRecovery
-// leaves the offending value in place and the assertion state s' only
-// feeds its own monitor), the plant and signal trajectories are
-// identical across version builds, so the single profile run derives
-// the exact from-scratch readouts of every version — detection flag,
+// with all executable assertions enabled on both nodes. Because
+// campaign runs are detection-only (core.NoRecovery leaves the
+// offending value in place and the assertion state s' only feeds its
+// own monitor), the plant and signal trajectories are identical across
+// version builds, so the single profile run derives the exact
+// from-scratch readouts of every version — detection flag,
 // first-detection time, latency, per-constraint counts, injections and
-// plant verdict — via RunError.
+// plant verdict — via RunError, and the optimizer's EAProfile via
+// Probe.
 //
 // An Engine is not safe for concurrent use; each campaign worker owns
 // one.
 type Engine struct {
-	cfg     RunConfig
-	policy  Policy
-	obs     int64
-	sys     *target.System
-	mem     *memory.Memory
-	rec     *recorder
-	base    target.SystemState
-	baseLen [target.NumEAs]int
-	baseEA  [target.NumEAs]eaStream
+	cfg    RunConfig
+	policy Policy
+	obs    int64
+	sys    *target.System
+	mem    *memory.Memory
 
-	failReadout     plantReadout
-	haveFailReadout bool
-	baseFailReadout plantReadout
-	baseHaveFail    bool
+	// base is the system snapshot at the first injection time, start
+	// what the run had recorded by then (shared read-only with the
+	// CaseProfile the engine was built from), cur the run in progress.
+	base  target.SystemState
+	start *runState
+	cur   runState
 
+	// The full profile stage, nil unless the engine was built from it:
+	// the fault-free full-window profile, the def/use liveness map and
+	// the snapshot-time memory bytes the delta hash compares against.
 	nominal *nominalProfile
-	stats   RunnerStats
+	live    *Liveness
+	baseMem [][]byte
+
+	stats RunnerStats
 
 	// spareBT recycles ByTest maps donated by the caller's out slice
 	// (see RunError): after a warm-up call the derive path allocates
@@ -128,20 +197,13 @@ type Engine struct {
 	spareBT []map[core.TestID]int
 }
 
-// nominalProfile is the readout of one full-observation, fault-free run
-// of the engine's test case: the per-assertion violation streams, the
-// plant verdict and the candidate early-exit readouts. The memo runner
-// derives the outcome of every liveness-pruned (provably benign) fault
-// from it with zero simulation.
+// nominalProfile is one full-observation, fault-free run of the
+// engine's test case. A liveness-pruned (provably benign) fault's run
+// is this run, so its per-version results and its probe readout are
+// read off it with zero simulation.
 type nominalProfile struct {
-	ea    [target.NumEAs]eaStream
-	fail  plantReadout
-	final plantReadout
-
-	stopMs  int64
-	stopped bool
-	failure physics.Failure
-	failed  bool
+	run runState
+	end endState
 }
 
 // NewEngine builds the engine for one test case and fast-forwards it to
@@ -160,45 +222,25 @@ func NewEngine(cfg RunConfig) (*Engine, error) {
 
 	// Nominal prefix: every error of the test case shares the
 	// trajectory up to the first injection, so it is simulated once.
-	prefix := e.policy.StartMs
-	if prefix > e.obs {
-		prefix = e.obs
-	}
-	for ms := int64(0); ms < prefix; ms++ {
+	for ms := int64(0); ms < min(e.policy.StartMs, e.obs); ms++ {
 		e.step()
 	}
 	e.sys.Capture(&e.base)
-	for k := range e.rec.ea {
-		e.baseLen[k] = len(e.rec.ea[k].times)
-		e.baseEA[k].readout = e.rec.ea[k].readout
-		e.baseEA[k].haveReadout = e.rec.ea[k].haveReadout
-	}
-	e.baseFailReadout = e.failReadout
-	e.baseHaveFail = e.haveFailReadout
+	e.start = new(runState)
+	e.start.copyFrom(&e.cur)
 	return e, nil
 }
 
-// newEngineShell builds the engine struct and its instrumented system
+// newEngineShell builds the engine struct and its profile system
 // without fast-forwarding it: NewEngine simulates the nominal prefix
 // itself, NewEngineFromProfile restores a shared snapshot instead.
 func newEngineShell(cfg RunConfig) (*Engine, error) {
-	if cfg.Recovery != nil {
-		if _, ok := cfg.Recovery.(core.NoRecovery); !ok {
-			return nil, fmt.Errorf("inject: engine requires detection-only runs (core.NoRecovery), got %T", cfg.Recovery)
-		}
+	if !detectionOnly(cfg.Recovery) {
+		return nil, fmt.Errorf("inject: engine requires detection-only runs (core.NoRecovery), got %T", cfg.Recovery)
 	}
-	e := &Engine{cfg: cfg, rec: newRecorder()}
+	e := &Engine{cfg: cfg}
 	e.policy, e.obs = cfg.schedule()
-	sys, err := target.NewSystem(target.SystemConfig{
-		Constants:  cfg.Constants,
-		ForceTable: cfg.ForceTable,
-		TestCase:   cfg.TestCase,
-		Seed:       cfg.Seed,
-		Version:    target.VersionAll,
-		Sink:       e.rec,
-		Recovery:   core.NoRecovery{},
-		Placement:  cfg.Placement,
-	})
+	sys, err := newProfileSystem(cfg, &e.cur)
 	if err != nil {
 		return nil, fmt.Errorf("inject: building engine system: %w", err)
 	}
@@ -209,24 +251,57 @@ func newEngineShell(cfg RunConfig) (*Engine, error) {
 
 // step advances the system one tick and captures the candidate
 // early-exit readouts: the plant state at the end of any tick that
-// produced an assertion's first violation, and at the end of the tick
-// that latched the failure.
+// produced a master assertion's first violation, and at the end of the
+// tick that latched the failure.
 func (e *Engine) step() {
 	e.sys.StepMs()
 	env := e.sys.Env()
-	for k := range e.rec.ea {
-		s := &e.rec.ea[k]
+	for k := range e.cur.master {
+		s := &e.cur.master[k]
 		if !s.haveReadout && len(s.times) > 0 {
-			s.readout = plantReadout{x: env.Distance(), maxForce: env.PeakForce(), maxAccel: env.PeakRetardation()}
+			s.readout = readPlant(env)
 			s.haveReadout = true
 		}
 	}
-	if !e.haveFailReadout {
+	if !e.cur.haveFail {
 		if _, failed := env.Failure(); failed {
-			e.failReadout = plantReadout{x: env.Distance(), maxForce: env.PeakForce(), maxAccel: env.PeakRetardation()}
-			e.haveFailReadout = true
+			e.cur.fail = readPlant(env)
+			e.cur.haveFail = true
 		}
 	}
+}
+
+// simulate is the one fault-run kernel: from the restored snapshot it
+// runs the §3.2 protocol to the end of the observation window, calling
+// onInject (if non-nil) and flipping err's bit (if err is non-nil) at
+// every tick the schedule makes due, then stepping the system. Unless
+// full, it stops once the aircraft has been stopped for QuietWindowMs:
+// the failure verdict is frozen by the stop, and after the window no
+// assertion on either node raises a first violation anymore, so every
+// version's result and every probe slot is decided (the probe
+// equivalence suite re-verifies the slave's streams against full-window
+// literal runs).
+func (e *Engine) simulate(err *Error, full bool, onInject func()) error {
+	for ms := e.policy.StartMs; ms < e.obs; ms++ {
+		if e.policy.due(ms) {
+			if onInject != nil {
+				onInject()
+			}
+			if err != nil {
+				if aerr := err.Apply(e.mem); aerr != nil {
+					// Format the value: the pointer itself in an
+					// interface would move RunError's err parameter to
+					// the heap and break the zero-alloc gate.
+					return fmt.Errorf("inject: applying %v: %w", *err, aerr)
+				}
+			}
+		}
+		e.step()
+		if stopMs, stopped := e.sys.Env().Stopped(); !full && stopped && ms-(stopMs-1) >= QuietWindowMs {
+			break
+		}
+	}
+	return nil
 }
 
 // RunError serves one error of the engine's test case: it restores the
@@ -257,40 +332,12 @@ func (e *Engine) RunError(err Error, versions []target.Version, out []RunResult)
 	if rerr := e.rewind(); rerr != nil {
 		return rerr
 	}
-
-	for ms := e.policy.StartMs; ms < e.obs; ms++ {
-		if (ms-e.policy.StartMs)%e.policy.PeriodMs == 0 {
-			if aerr := err.Apply(e.mem); aerr != nil {
-				// err is passed by value: taking its address here would
-				// force the parameter to the heap on every (non-failing)
-				// call and break the zero-alloc gate.
-				return fmt.Errorf("inject: applying %v: %w", err, aerr)
-			}
-		}
-		e.step()
-		// Quiet-window exit: the failure verdict is frozen by the stop,
-		// and after QuietWindowMs of post-stop settling no assertion
-		// fires a first violation anymore — the outcome of every
-		// version is decided.
-		if stopMs, stopped := e.sys.Env().Stopped(); stopped && ms-(stopMs-1) >= QuietWindowMs {
-			break
-		}
+	if serr := e.simulate(&err, false, nil); serr != nil {
+		return serr
 	}
-
-	env := e.sys.Env()
-	final := plantReadout{x: env.Distance(), maxForce: env.PeakForce(), maxAccel: env.PeakRetardation()}
-	stopMs, stopped := env.Stopped()
-	failure, failed := env.Failure()
-	stopIter, failIter := int64(-1), int64(-1)
-	if stopped {
-		stopIter = stopMs - 1
-	}
-	if failed {
-		failIter = failure.TimeMs - 1
-	}
-
+	end := readEnd(e.sys.Env())
 	for vi, v := range versions {
-		out[vi] = e.deriveFrom(&e.rec.ea, e.failReadout, v, stopIter, failIter, stopMs, failure, final)
+		out[vi] = e.deriveFrom(&e.cur, &end, v)
 	}
 	return nil
 }
@@ -301,9 +348,7 @@ func (e *Engine) rewind() error {
 	if err := e.sys.Restore(&e.base); err != nil {
 		return fmt.Errorf("inject: restoring snapshot: %w", err)
 	}
-	e.rec.truncate(&e.baseLen, &e.baseEA)
-	e.failReadout = e.baseFailReadout
-	e.haveFailReadout = e.baseHaveFail
+	e.cur.copyFrom(e.start)
 	return nil
 }
 
@@ -319,37 +364,23 @@ func (e *Engine) Stats() RunnerStats { return e.stats }
 // Liveness pass. The engine is rewound to its snapshot afterwards, so
 // RunError keeps working as before.
 //
-// The full window matters twice: the access trace must be a superset
-// of any early-exiting faulty run's trace for the liveness argument,
-// and the final plant readout must match the full-window exit of a
-// benign run's literal simulation.
+// The full window matters three times: the access trace must be a
+// superset of any early-exiting faulty run's trace for the liveness
+// argument, the final plant readout must match the full-window exit of
+// a benign run's literal simulation, and a pruned probe reads both
+// nodes' first violations off it, wherever in the window they fall.
 func (e *Engine) ProfileNominal(sink memory.AccessSink, onInject func()) error {
 	if err := e.rewind(); err != nil {
 		return err
 	}
 	e.mem.SetAccessSink(sink)
-	for ms := e.policy.StartMs; ms < e.obs; ms++ {
-		if onInject != nil && (ms-e.policy.StartMs)%e.policy.PeriodMs == 0 {
-			onInject()
-		}
-		e.step()
-	}
+	err := e.simulate(nil, true, onInject)
 	e.mem.SetAccessSink(nil)
-
-	np := &nominalProfile{fail: e.failReadout}
-	for k := range e.rec.ea {
-		s := &e.rec.ea[k]
-		np.ea[k] = eaStream{
-			times:       append([]int64(nil), s.times...),
-			ids:         append([]core.TestID(nil), s.ids...),
-			readout:     s.readout,
-			haveReadout: s.haveReadout,
-		}
+	if err != nil {
+		return err
 	}
-	env := e.sys.Env()
-	np.final = plantReadout{x: env.Distance(), maxForce: env.PeakForce(), maxAccel: env.PeakRetardation()}
-	np.stopMs, np.stopped = env.Stopped()
-	np.failure, np.failed = env.Failure()
+	np := &nominalProfile{end: readEnd(e.sys.Env())}
+	np.run.copyFrom(&e.cur)
 	e.nominal = np
 	return e.rewind()
 }
@@ -360,23 +391,55 @@ func (e *Engine) ProfileNominal(sink memory.AccessSink, onInject func()) error {
 // injection count the literal loop would have performed up to its exit
 // tick. ProfileNominal must have run first.
 func (e *Engine) DeriveNominal(v target.Version) (RunResult, error) {
-	np := e.nominal
-	if np == nil {
+	if e.nominal == nil {
 		return RunResult{}, fmt.Errorf("inject: DeriveNominal before ProfileNominal")
 	}
-	stopIter, failIter := int64(-1), int64(-1)
-	if np.stopped {
-		stopIter = np.stopMs - 1
+	return e.deriveFrom(&e.nominal.run, &e.nominal.end, v), nil
+}
+
+// pruned reports whether the liveness map proves err benign: its byte
+// is dead at every injection time, so its run is the nominal run. An
+// engine without the full profile stage prunes nothing.
+func (e *Engine) pruned(err Error) bool {
+	return e.live != nil && !e.live.Live(err.Addr)
+}
+
+// deltaHash is the FNV-1a hash of err's post-injection state delta:
+// which byte differs from the case's snapshot, what it now holds, and
+// the mask the periodic schedule keeps toggling. Two errors with equal
+// hashes corrupt the snapshot into the same state and re-corrupt it on
+// the same schedule, so their runs are the same run; the MemoRunner and
+// the Probe key their outcome memos on it. It needs the full profile
+// stage's snapshot-time memory bytes.
+func (e *Engine) deltaHash(err Error) (uint64, error) {
+	var base byte
+	found := false
+	for i, spec := range e.mem.Regions() {
+		if err.Addr >= spec.Base && uint32(err.Addr) < spec.End() {
+			base = e.baseMem[i][err.Addr-spec.Base]
+			found = true
+			break
+		}
 	}
-	if np.failed {
-		failIter = np.failure.TimeMs - 1
+	if !found {
+		return 0, fmt.Errorf("inject: memo hash: address 0x%04x outside every region", err.Addr)
 	}
-	return e.deriveFrom(&np.ea, np.fail, v, stopIter, failIter, np.stopMs, np.failure, np.final), nil
+	mask := byte(1) << err.Bit
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range [4]byte{byte(err.Addr >> 8), byte(err.Addr), base ^ mask, mask} {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return h, nil
 }
 
 // deriveFrom reconstructs the from-scratch RunResult of one version
-// from a profile (the live recorder's streams after RunError, or the
-// cached nominal profile). A from-scratch campaign run iterates ticks
+// from a profile's master streams and end state (the run in progress
+// after RunError, or the cached nominal profile). A from-scratch campaign run iterates ticks
 // 0..obs-1, injects at the start of each due tick, and breaks at the
 // end of the first tick E where a detection has been recorded and the
 // plant has settled (stopped or failed); its readouts are the state at
@@ -384,8 +447,16 @@ func (e *Engine) DeriveNominal(v target.Version) (RunResult, error) {
 // recorded readouts: at or after the stop the plant is frozen, the
 // failure tick is recorded, and any later first detection is the first
 // violation tick of some assertion, which is recorded too.
-func (e *Engine) deriveFrom(ea *[target.NumEAs]eaStream, failReadout plantReadout, v target.Version, stopIter, failIter, stopMs int64, failure physics.Failure, final plantReadout) RunResult {
+func (e *Engine) deriveFrom(st *runState, end *endState, v target.Version) RunResult {
 	const never = int64(1) << 62
+	ea := &st.master
+	stopIter, failIter := int64(-1), int64(-1)
+	if end.stopped {
+		stopIter = end.stopMs - 1
+	}
+	if end.failed {
+		failIter = end.failure.TimeMs - 1
+	}
 
 	// First detection of this version: the earliest first violation
 	// among its enabled assertions.
@@ -452,23 +523,23 @@ func (e *Engine) deriveFrom(ea *[target.NumEAs]eaStream, failReadout plantReadou
 	// Plant verdict and readouts at the exit tick.
 	if failIter >= 0 && failIter <= exit {
 		res.Failed = true
-		res.Failure = failure
+		res.Failure = end.failure
 	}
 	if stopIter >= 0 && stopIter <= exit {
 		res.Stopped = true
-		res.StoppedMs = stopMs
+		res.StoppedMs = end.stopMs
 	}
 	switch {
 	case res.Stopped:
 		// The plant freezes when the aircraft stops: distance and the
 		// peaks at any tick >= the stop equal the final profile state.
-		res.DistanceM = final.x
-		res.PeakForceN = final.maxForce
-		res.PeakRetardationMS2 = final.maxAccel
+		res.DistanceM = end.final.x
+		res.PeakForceN = end.final.maxForce
+		res.PeakRetardationMS2 = end.final.maxAccel
 	case res.Failed && exit == failIter:
-		res.DistanceM = failReadout.x
-		res.PeakForceN = failReadout.maxForce
-		res.PeakRetardationMS2 = failReadout.maxAccel
+		res.DistanceM = st.fail.x
+		res.PeakForceN = st.fail.maxForce
+		res.PeakRetardationMS2 = st.fail.maxAccel
 	case firstK >= 0 && exit == first:
 		r := ea[firstK].readout
 		res.DistanceM = r.x
@@ -478,9 +549,9 @@ func (e *Engine) deriveFrom(ea *[target.NumEAs]eaStream, failReadout plantReadou
 		// No early exit: the run observed the full window and reads the
 		// final state (which the profile also reached, because without a
 		// stop there is no quiet-window exit).
-		res.DistanceM = final.x
-		res.PeakForceN = final.maxForce
-		res.PeakRetardationMS2 = final.maxAccel
+		res.DistanceM = end.final.x
+		res.PeakForceN = end.final.maxForce
+		res.PeakRetardationMS2 = end.final.maxAccel
 	}
 	return res
 }

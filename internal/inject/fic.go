@@ -34,6 +34,12 @@ func (p Policy) Validate() error {
 	return nil
 }
 
+// due reports whether the schedule flips the bit at the start of tick
+// ms. The literal runners and the Engine's kernel share it.
+func (p Policy) due(ms int64) bool {
+	return ms >= p.StartMs && (ms-p.StartMs)%p.PeriodMs == 0
+}
+
 // DefaultObservationMs is the paper's 40-second observation period.
 const DefaultObservationMs = 40000
 
@@ -166,7 +172,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	var res RunResult
 	mem := sys.Master().Memory()
 	for ms := int64(0); ms < obs; ms++ {
-		if cfg.Error != nil && ms >= policy.StartMs && (ms-policy.StartMs)%policy.PeriodMs == 0 {
+		if cfg.Error != nil && policy.due(ms) {
 			if err := cfg.Error.Apply(mem); err != nil {
 				return RunResult{}, fmt.Errorf("inject: applying %v: %w", cfg.Error, err)
 			}

@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"easig/internal/core"
-	"easig/internal/memory"
 	"easig/internal/target"
 )
 
 // MemoRunner is the pruning and memoizing Runner: it wraps the snapshot
-// Engine of one (test case, injection schedule) with two layers that
-// serve errors without simulating them.
+// Engine of one (test case, injection schedule), built from the case's
+// full profile stage, with two layers that serve errors without
+// simulating them.
 //
-//  1. Liveness pruning. On first use the runner profiles the test case
+//  1. Liveness pruning. The full stage profiled the test case
 //     fault-free over the full observation window with the def/use
 //     Liveness pass armed. Errors whose byte is dead at every injection
 //     time (never read between an injection epoch and the next store)
@@ -30,8 +30,6 @@ import (
 // safe for concurrent use; each campaign worker owns one.
 type MemoRunner struct {
 	eng   *Engine
-	live  *Liveness
-	baseM [][]byte // snapshot-time memory bytes, for the delta hash
 	memo  map[uint64]memoEntry
 	stats RunnerStats
 
@@ -49,75 +47,21 @@ type memoEntry struct {
 	results  []RunResult
 }
 
-// NewMemoRunner builds the runner for one test case described by cfg.
-// Like NewEngine, it requires detection-only runs; cfg.Error and
-// cfg.Version are ignored. The liveness profile is computed lazily on
-// the first RunError, so construction stays as cheap as NewEngine.
+// NewMemoRunner builds the runner for one test case described by cfg,
+// computing the case's full profile stage itself. Like NewEngine, it
+// requires detection-only runs; cfg.Error and cfg.Version are ignored.
 func NewMemoRunner(cfg RunConfig) (*MemoRunner, error) {
-	eng, err := NewEngine(cfg)
+	p, err := newCaseProfile(cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	return &MemoRunner{
-		eng:   eng,
-		baseM: eng.mem.Snapshot(),
-		memo:  make(map[uint64]memoEntry),
-	}, nil
+	return NewMemoRunnerFromProfile(p, nil)
 }
 
 // Stats implements StatsReporter. Simulated counts the errors the
 // wrapped engine actually profiled (the one nominal liveness profile is
 // not counted as an error).
 func (r *MemoRunner) Stats() RunnerStats { return r.stats }
-
-// profile runs the one-time nominal liveness profile.
-func (r *MemoRunner) profile() error {
-	live := NewLiveness(r.eng.mem.Regions())
-	if err := r.eng.ProfileNominal(live, live.MarkInjection); err != nil {
-		return err
-	}
-	r.live = live
-	return nil
-}
-
-// stateHash hashes err's post-injection state delta against the
-// runner's snapshot; see stateDeltaHash.
-func (r *MemoRunner) stateHash(err Error) (uint64, error) {
-	return stateDeltaHash(r.eng.mem.Regions(), r.baseM, err)
-}
-
-// stateDeltaHash is the FNV-1a hash of a post-injection state delta:
-// which byte differs from the case's snapshot (baseM, indexed like
-// regions), what it now holds, and the mask the periodic schedule keeps
-// toggling. Two errors with equal hashes corrupt the snapshot into the
-// same state and re-corrupt it on the same schedule, so their runs are
-// the same run. The MemoRunner and the optimizer's Probe share this
-// memo key.
-func stateDeltaHash(regions []memory.RegionSpec, baseM [][]byte, err Error) (uint64, error) {
-	var base byte
-	found := false
-	for i, spec := range regions {
-		if err.Addr >= spec.Base && uint32(err.Addr) < spec.End() {
-			base = baseM[i][err.Addr-spec.Base]
-			found = true
-			break
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("inject: memo hash: address 0x%04x outside every region", err.Addr)
-	}
-	mask := byte(1) << err.Bit
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range [4]byte{byte(err.Addr >> 8), byte(err.Addr), base ^ mask, mask} {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h, nil
-}
 
 // sameVersions reports whether a memo entry was derived for the same
 // version slice in the same order.
@@ -138,14 +82,9 @@ func (r *MemoRunner) RunError(err Error, versions []target.Version, out []RunRes
 	if len(out) != len(versions) {
 		return fmt.Errorf("inject: memo runner needs len(out)=%d, got %d", len(versions), len(out))
 	}
-	if r.live == nil {
-		if perr := r.profile(); perr != nil {
-			return perr
-		}
-	}
 	r.stats.Errors++
 
-	if !r.live.Live(err.Addr) {
+	if r.eng.pruned(err) {
 		for i, v := range versions {
 			res, derr := r.eng.DeriveNominal(v)
 			if derr != nil {
@@ -157,7 +96,7 @@ func (r *MemoRunner) RunError(err Error, versions []target.Version, out []RunRes
 		return nil
 	}
 
-	h, herr := r.stateHash(err)
+	h, herr := r.eng.deltaHash(err)
 	if herr != nil {
 		return herr
 	}

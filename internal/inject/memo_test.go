@@ -128,11 +128,28 @@ func TestLivenessSemantics(t *testing.T) {
 // the inject level: over a mixed error set (every E1 error, an E2
 // sample with duplicates, and a slice of the exhaustive grid) the memo
 // runner's per-version results are identical, field by field, to the
-// plain snapshot engine's — and the stats account for every error.
+// plain snapshot engine's — and the stats account for every error. The
+// noisy case's fault-free run fires after the first injection, so its
+// pruned faults carry detections read off the nominal profile.
 func TestMemoRunnerMatchesEngine(t *testing.T) {
-	tc := physics.TestCase{MassKg: 14000, VelocityMS: 55}
+	cases := []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"paper", RunConfig{
+			TestCase:      physics.TestCase{MassKg: 14000, VelocityMS: 55},
+			Seed:          12345,
+			ObservationMs: engineObsMs,
+		}},
+		{"noisy-start100", noisyConfig(Policy{StartMs: 100, PeriodMs: 20})},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { testMemoRunnerMatchesEngine(t, c.cfg) })
+	}
+}
+
+func testMemoRunnerMatchesEngine(t *testing.T, cfg RunConfig) {
 	versions := target.Versions()
-	cfg := RunConfig{TestCase: tc, Seed: 12345, ObservationMs: engineObsMs}
 
 	mr, err := NewMemoRunner(cfg)
 	if err != nil {
@@ -175,12 +192,12 @@ func TestMemoRunnerMatchesEngine(t *testing.T) {
 		t.Error("expected some pruned errors over the exhaustive slice")
 	}
 	live, tracked := 0, 0
-	for _, b := range mr.live.live {
+	for _, b := range mr.eng.live.live {
 		if b {
 			live++
 		}
 	}
-	for _, r := range mr.live.regions {
+	for _, r := range mr.eng.live.regions {
 		tracked += int(r.Size)
 	}
 	if live == 0 || live == tracked {
@@ -238,15 +255,11 @@ func TestPrunedFaultsAreBenign(t *testing.T) {
 		t.Fatalf("NewMemoRunner: %v", err)
 	}
 
-	// Prime the liveness map, then collect pruned positions.
-	warm := BuildE2(E2Spec{RAM: 1, Stack: 1}, 1)
+	// The constructor computed the liveness map; collect pruned positions.
 	out := make([]RunResult, len(versions))
-	if err := mr.RunError(warm[0], versions, out); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
 	var pruned []Error
 	for i, e := range BuildExhaustive() {
-		if !mr.live.Live(e.Addr) && i%151 == 0 {
+		if !mr.eng.live.Live(e.Addr) && i%151 == 0 {
 			pruned = append(pruned, e)
 		}
 	}

@@ -28,18 +28,50 @@ func probeErrors(t *testing.T) []Error {
 	return errs
 }
 
+// noisyConfig is a case whose fault-free run fires assertions on both
+// nodes: 1000 kPa of pressure-sensor noise trips the pressure checks
+// within the first few hundred milliseconds. The campaigns never build
+// it, but it pins that no runner or probe assumes a detection-free
+// nominal run.
+func noisyConfig(policy Policy) RunConfig {
+	cst := physics.DefaultConstants()
+	cst.SensorNoiseKPa = 1000
+	return RunConfig{
+		TestCase:      physics.TestCase{MassKg: 14000, VelocityMS: 55},
+		Seed:          1,
+		ObservationMs: 8000,
+		Policy:        policy,
+		Constants:     &cst,
+	}
+}
+
 // TestProbeModesMatchLiteral is the probe's equivalence theorem: for
 // every error of the sweep, the snapshot-mode and memo-mode profiles —
 // restored snapshots, quiet-window early exits, liveness pruning, memo
 // hits — are identical, field by field, to the literal reference (a
 // fresh dual-sink system simulated over the full window). This is what
-// certifies the quiet window for the slave's streams too.
+// certifies the quiet window for the slave's streams too. The noisy
+// cases fire in the fault-free run, after the first injection (start
+// 100 ms) and before it (the default start).
 func TestProbeModesMatchLiteral(t *testing.T) {
-	cfg := RunConfig{
-		TestCase:      physics.TestCase{MassKg: 14000, VelocityMS: 55},
-		Seed:          12345,
-		ObservationMs: engineObsMs,
+	cases := []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"paper", RunConfig{
+			TestCase:      physics.TestCase{MassKg: 14000, VelocityMS: 55},
+			Seed:          12345,
+			ObservationMs: engineObsMs,
+		}},
+		{"noisy-start100", noisyConfig(Policy{StartMs: 100, PeriodMs: 20})},
+		{"noisy-default", noisyConfig(Policy{})},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { testProbeModesMatchLiteral(t, c.cfg) })
+	}
+}
+
+func testProbeModesMatchLiteral(t *testing.T, cfg RunConfig) {
 	lit, err := NewProbe(ModeLiteral, cfg)
 	if err != nil {
 		t.Fatalf("NewProbe(literal): %v", err)

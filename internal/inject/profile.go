@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"easig/internal/core"
 	"easig/internal/target"
 )
 
@@ -16,30 +15,28 @@ import (
 // case and hands it to every worker and every engine mode, instead of
 // letting each worker's runner re-simulate it:
 //
-//   - the nominal-prefix snapshot at the first injection time plus the
-//     recorder streams accumulated up to it (the snapshot engine's
-//     starting point — PR 4 simulated this once per runner, so a case
-//     split across N workers paid for it N times);
+//   - the nominal-prefix snapshot at the first injection time plus
+//     everything both nodes recorded up to it (the snapshot engine's
+//     starting point; without the cache a case split across N workers
+//     would simulate it N times);
 //   - optionally (the "full" stage) the full-observation-window nominal
-//     profile and the def/use liveness map, which the memo runner uses
-//     to prove dead-at-injection faults benign and to derive their
-//     per-version readouts with zero simulation. Before the cache this
+//     profile, the def/use liveness map and the snapshot-time memory
+//     bytes, which the memo runner and the memo probe use to prove
+//     dead-at-injection faults benign and to read their outcomes off
+//     the nominal run with zero simulation. Before the cache this
 //     was the single most expensive per-runner cost — a complete
 //     fault-free simulation of the whole window — and it is exactly
 //     what forced PR 6 to schedule each case as one indivisible batch.
 //
 // A CaseProfile is immutable after construction. Engines built from it
 // via NewEngineFromProfile share its buffers read-only (Restore only
-// reads from the snapshot; the nominal profile is only consulted, never
-// written), which is what makes one profile safe for any number of
+// reads from the snapshot, rewind only copies from the start state, and
+// the nominal profile is only consulted, never written), which is what makes one profile safe for any number of
 // concurrent workers.
 type CaseProfile struct {
-	cfg RunConfig
-
-	base       target.SystemState
-	prefixEA   [target.NumEAs]eaStream
-	prefixFail plantReadout
-	prefixHave bool
+	cfg   RunConfig
+	base  target.SystemState
+	start *runState
 
 	// Full-stage fields; nil until the full profile is computed.
 	nominal *nominalProfile
@@ -115,31 +112,15 @@ func (c *ProfileCache) Get(key int, cfg RunConfig, full bool) (*CaseProfile, err
 }
 
 // computePrefix builds the stage-one profile: a throwaway engine
-// simulates the nominal prefix and its snapshot, prefix streams and
-// readouts are lifted into the CaseProfile. The engine is retained for
-// a later full stage.
+// simulates the nominal prefix, and its snapshot and start state become
+// the CaseProfile's. The engine is retained for a later full stage.
 func (e *profileEntry) computePrefix(cfg RunConfig) error {
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		return err
 	}
-	p := &CaseProfile{
-		cfg:        eng.cfg,
-		base:       eng.base,
-		prefixFail: eng.baseFailReadout,
-		prefixHave: eng.baseHaveFail,
-	}
-	for k := range eng.rec.ea {
-		s := &eng.rec.ea[k]
-		p.prefixEA[k] = eaStream{
-			times:       append([]int64(nil), s.times[:eng.baseLen[k]]...),
-			ids:         append([]core.TestID(nil), s.ids[:eng.baseLen[k]]...),
-			readout:     eng.baseEA[k].readout,
-			haveReadout: eng.baseEA[k].haveReadout,
-		}
-	}
 	e.eng = eng
-	e.p = p
+	e.p = &CaseProfile{cfg: eng.cfg, base: eng.base, start: eng.start}
 	return nil
 }
 
@@ -157,34 +138,36 @@ func (e *profileEntry) computeFull() error {
 	return nil
 }
 
+// newCaseProfile computes a private CaseProfile, the stages a
+// self-contained MemoRunner or Probe needs without a shared cache.
+func newCaseProfile(cfg RunConfig, full bool) (*CaseProfile, error) {
+	e := &profileEntry{}
+	if err := e.computePrefix(cfg); err != nil {
+		return nil, err
+	}
+	if full {
+		if err := e.computeFull(); err != nil {
+			return nil, err
+		}
+	}
+	return e.p, nil
+}
+
 // NewEngineFromProfile builds a snapshot Engine for the profile's test
 // case without re-simulating the nominal prefix: a fresh system is
 // built from the same configuration and fast-forwarded by restoring
 // the shared snapshot. The engine shares the profile's buffers
-// read-only, so any number of engines (one per campaign worker) can be
-// built from one profile concurrently.
+// read-only, including the full stage when it has been computed, so
+// any number of engines (one per campaign worker) can be built from
+// one profile concurrently.
 func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
 	e, err := newEngineShell(p.cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.base = p.base
-	for k := range e.rec.ea {
-		s := &e.rec.ea[k]
-		s.times = append(s.times, p.prefixEA[k].times...)
-		s.ids = append(s.ids, p.prefixEA[k].ids...)
-		s.readout = p.prefixEA[k].readout
-		s.haveReadout = p.prefixEA[k].haveReadout
-		e.baseLen[k] = len(p.prefixEA[k].times)
-		e.baseEA[k].readout = p.prefixEA[k].readout
-		e.baseEA[k].haveReadout = p.prefixEA[k].haveReadout
-	}
-	e.baseFailReadout = p.prefixFail
-	e.baseHaveFail = p.prefixHave
-	e.failReadout = p.prefixFail
-	e.haveFailReadout = p.prefixHave
-	e.nominal = p.nominal
-	if err := e.sys.Restore(&e.base); err != nil {
+	e.base, e.start = p.base, p.start
+	e.nominal, e.live, e.baseMem = p.nominal, p.live, p.baseMem
+	if err := e.rewind(); err != nil {
 		return nil, fmt.Errorf("inject: fast-forwarding from shared profile: %w", err)
 	}
 	return e, nil
@@ -197,20 +180,14 @@ func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
 // publish and consume memoized outcomes across the workers of the
 // case; pass nil for a private memo.
 func NewMemoRunnerFromProfile(p *CaseProfile, shared *SharedMemo) (*MemoRunner, error) {
-	if p.live == nil || p.nominal == nil {
+	if p.live == nil {
 		return nil, fmt.Errorf("inject: memo runner needs the full profile stage (ProfileCache.Get with full=true)")
 	}
 	eng, err := NewEngineFromProfile(p)
 	if err != nil {
 		return nil, err
 	}
-	return &MemoRunner{
-		eng:    eng,
-		live:   p.live,
-		baseM:  p.baseMem,
-		memo:   make(map[uint64]memoEntry),
-		shared: shared,
-	}, nil
+	return &MemoRunner{eng: eng, memo: make(map[uint64]memoEntry), shared: shared}, nil
 }
 
 // SharedMemo publishes outcome-memo entries across the runners of one

@@ -45,7 +45,7 @@ type Runner interface {
 // benchmark/README.md) both read RunnerStats, and `fic -metrics`
 // reports them per campaign. Pruned and MemoHits may only ever
 // replace simulations whose outcomes are provably identical (see
-// Liveness's soundness argument and the stateDeltaHash contract) — a
+// Liveness's soundness argument and the Engine.deltaHash contract) — a
 // prune or memo hit that could change a Table 7-9 cell would be a
 // correctness bug, not a tuning choice.
 type RunnerStats struct {

@@ -27,34 +27,6 @@ func (t *Trace) Append(v int64) { t.Samples = append(t.Samples, v) }
 // Len returns the number of samples.
 func (t *Trace) Len() int { return len(t.Samples) }
 
-// Min returns the smallest sample; ok is false for an empty trace.
-func (t *Trace) Min() (int64, bool) {
-	if len(t.Samples) == 0 {
-		return 0, false
-	}
-	m := t.Samples[0]
-	for _, s := range t.Samples[1:] {
-		if s < m {
-			m = s
-		}
-	}
-	return m, true
-}
-
-// Max returns the largest sample; ok is false for an empty trace.
-func (t *Trace) Max() (int64, bool) {
-	if len(t.Samples) == 0 {
-		return 0, false
-	}
-	m := t.Samples[0]
-	for _, s := range t.Samples[1:] {
-		if s > m {
-			m = s
-		}
-	}
-	return m, true
-}
-
 // Set is an ordered collection of traces sharing a time base.
 type Set struct {
 	traces []*Trace

@@ -7,22 +7,13 @@ import (
 	"testing"
 )
 
-func TestTraceMinMax(t *testing.T) {
+func TestTraceAppendLen(t *testing.T) {
 	var tr Trace
-	if _, ok := tr.Min(); ok {
-		t.Error("empty trace reported a minimum")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Error("empty trace reported a maximum")
+	if tr.Len() != 0 {
+		t.Errorf("empty Len = %d", tr.Len())
 	}
 	for _, v := range []int64{5, -3, 9, 0} {
 		tr.Append(v)
-	}
-	if mn, _ := tr.Min(); mn != -3 {
-		t.Errorf("Min = %d", mn)
-	}
-	if mx, _ := tr.Max(); mx != 9 {
-		t.Errorf("Max = %d", mx)
 	}
 	if tr.Len() != 4 {
 		t.Errorf("Len = %d", tr.Len())
