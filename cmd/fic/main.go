@@ -14,6 +14,7 @@
 //	fic -print table4|table6|figure2
 //	fic -grid 3                  # scale the test-case grid down (3x3)
 //	fic -recovery previous       # ablation: recovery repairs state
+//	fic -placement producer      # ablation: test pressure signals where they are written
 //	fic -period 20 -start 500    # injection schedule (ms)
 //	fic -workers N -seed S
 //	fic -journal runs.jsonl      # record one JSONL line per completed run
@@ -155,6 +156,7 @@ func run(args []string) error {
 		seed        = fs.Int64("seed", 2000, "campaign seed")
 		workers     = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		recovery    = fs.String("recovery", "none", "assertion recovery: none (paper) or previous")
+		placementF  = fs.String("placement", "consumer", "pressure-signal assertion placement: consumer (paper) or producer")
 		period      = fs.Int64("period", 20, "injection period in ms")
 		start       = fs.Int64("start", 500, "first injection time in ms")
 		observe     = fs.Int64("observe", 40000, "observation period in ms")
@@ -205,6 +207,15 @@ func run(args []string) error {
 		rp = easig.PreviousValue{}
 	default:
 		return fmt.Errorf("unknown -recovery %q (want none or previous)", *recovery)
+	}
+	var placement easig.Placement
+	switch *placementF {
+	case "consumer":
+		placement = easig.PlacementConsumer
+	case "producer":
+		placement = easig.PlacementProducer
+	default:
+		return fmt.Errorf("unknown -placement %q (want consumer or producer)", *placementF)
 	}
 
 	// SIGINT or SIGTERM cancels the campaign cleanly: in-flight runs
@@ -259,6 +270,7 @@ func run(args []string) error {
 			Seed:          *seed,
 			ObservationMs: *observe,
 			Policy:        inject.Policy{StartMs: *start, PeriodMs: *period},
+			Placement:     placement,
 		},
 		Exec: easig.CampaignExec{
 			Mode:     mode,

@@ -149,14 +149,20 @@ type MonitorStats struct {
 // monitor's name and class never change, and the counters are read
 // with atomic loads. A snapshot taken mid-tick may be a test ahead on
 // one monitor and behind on another; each counter is itself exact.
+// Violations are loaded before tests: Monitor.Test increments tests
+// first, and Go's atomics are sequentially consistent, so this order
+// keeps every snapshot at violations <= tests. The other order lets a
+// reader delayed between its two loads count violations of tests it
+// has not yet counted.
 func (s *Suite) Stats() []MonitorStats {
 	out := make([]MonitorStats, 0, len(s.monitors))
 	for _, m := range s.monitors {
+		violations := m.Violations()
 		out = append(out, MonitorStats{
 			Name:       m.Name(),
 			Class:      m.Class(),
 			Tests:      m.Tests(),
-			Violations: m.Violations(),
+			Violations: violations,
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })

@@ -9,6 +9,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -38,9 +39,10 @@ const (
 )
 
 // Spec is the serializable protocol of a campaign: everything that
-// determines WHICH runs exist and what their outcomes are. Two
-// campaigns with equal Specs produce byte-identical tables regardless
-// of their Exec options (engine mode, worker count, journaling) — that
+// determines WHICH runs exist and, with Exec.Recovery, what their
+// outcomes are. Two campaigns with equal Specs and recovery policies
+// produce byte-identical tables regardless of their other Exec options
+// (engine mode, worker count, journaling) — that
 // is the equivalence contract the runner matrix tests enforce, and it
 // is what makes Spec the wire format for a future campaign service
 // (ROADMAP item 1): a Spec can be marshalled, shipped and re-run.
@@ -80,7 +82,9 @@ type Spec struct {
 }
 
 // Exec is the execution side of a campaign: how the Spec's runs are
-// dispatched. None of it may change a single table cell.
+// dispatched. Apart from Recovery, none of it may change a single table
+// cell; Recovery does, so a journal header binds it together with the
+// Spec (Config.header).
 type Exec struct {
 	// Mode selects the execution engine behind the runs:
 	// inject.ModeAuto (the zero value) resolves to the snapshot engine
@@ -109,8 +113,8 @@ type Exec struct {
 	// runs. Because per-run seeds are deterministic functions of the
 	// campaign seed and run coordinates (see runSeed), a resumed
 	// campaign reproduces the uninterrupted campaign's tables byte for
-	// byte; a journal recorded under a different configuration — seed,
-	// grid or runner mode — is rejected.
+	// byte; a journal recorded under a different protocol or runner
+	// mode is rejected (journal.Header.Match).
 	Resume *journal.Log
 	// Progress, when non-nil, is called from the collector goroutine
 	// after every completed or replayed run with throughput,
@@ -158,6 +162,22 @@ func (c Config) withDefaults() Config {
 		c.Versions = target.Versions()
 	}
 	return c
+}
+
+// header is the journal header of the campaign's exp runs under the
+// named runner. Its protocol is the Spec with defaults applied and the
+// shard selector cleared, so a shard journal and a single-process
+// journal of one campaign agree, plus the recovery policy, the one Exec
+// field that changes outcomes.
+func (c Config) header(exp, runner string, total int) journal.Header {
+	c = c.withDefaults()
+	c.Cases = nil
+	// Marshal cannot fail: the protocol is ints, strings and slices.
+	protocol, _ := json.Marshal(struct {
+		Spec
+		Recovery string `json:"recovery"`
+	}{c.Spec, fmt.Sprintf("%#v", c.Recovery)})
+	return journal.Header{Experiment: exp, Total: total, Runner: runner, Protocol: protocol}
 }
 
 // runSeed derives a deterministic per-run seed from the campaign seed
@@ -279,16 +299,17 @@ func replayed(j job, rec journal.Record) outcome {
 // partition splits the campaign jobs into journaled outcomes (to be
 // replayed straight into the aggregators) and live jobs still to
 // dispatch. It enforces the resume soundness checks: the journal's
-// header must match the live configuration — seed, grid AND resolved
-// runner mode (journal.Log.CheckResume) — and every replayed record's
-// stored seed must equal the seed re-derived from the run coordinates.
-func partition(cfg Config, exp string, mode inject.Mode, jobs []job) (live []job, replay []outcome, err error) {
+// header must match the live header h — protocol AND resolved runner
+// mode (journal.Log.CheckResume) — and every replayed record's stored
+// seed must equal the seed re-derived from the run coordinates.
+func partition(cfg Config, h journal.Header, jobs []job) (live []job, replay []outcome, err error) {
 	if cfg.Resume == nil {
 		return jobs, nil, nil
 	}
-	if err := cfg.Resume.CheckResume(exp, cfg.Seed, cfg.Grid, mode.String()); err != nil {
+	if err := cfg.Resume.CheckResume(h); err != nil {
 		return nil, nil, fmt.Errorf("experiment: %w", err)
 	}
+	exp := h.Experiment
 	byKey := cfg.Resume.Lookup(exp)
 	if len(byKey) == 0 {
 		return jobs, nil, nil
@@ -408,7 +429,7 @@ func buildBatches(live []job, mode inject.Mode) []batch {
 	return batches
 }
 
-// runAll writes the campaign header and dispatches the live jobs on
+// runAll writes the campaign header h and dispatches the live jobs on
 // the grid dispatcher (Dispatch, scheduler.go), streaming outcomes to
 // collect and journaling each one. Batches are shaped for the resolved
 // engine mode; per-case profiles are computed once per campaign in an
@@ -416,16 +437,10 @@ func buildBatches(live []job, mode inject.Mode) []batch {
 // and memo-mode workers additionally share each case's outcome memo,
 // merged at batch barriers. The returned metrics cover the live runs
 // (resumed only sizes the progress totals).
-func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, collect func(outcome)) (journal.Metrics, error) {
-	total := resumed + len(jobs)
+func runAll(cfg Config, h journal.Header, mode inject.Mode, jobs []job, resumed int, collect func(outcome)) (journal.Metrics, error) {
+	exp := h.Experiment
 	if cfg.Journal != nil {
-		if err := cfg.Journal.Header(journal.Header{
-			Experiment: exp,
-			Seed:       cfg.Seed,
-			Grid:       cfg.Grid,
-			Total:      total,
-			Runner:     mode.String(),
-		}); err != nil {
+		if err := cfg.Journal.Header(h); err != nil {
 			return journal.Metrics{}, err
 		}
 	}
@@ -448,7 +463,7 @@ func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, c
 		Experiment: exp,
 		Runner:     mode.String(),
 		Resumed:    resumed,
-		Total:      total,
+		Total:      h.Total,
 		Progress:   cfg.Progress,
 	}
 	newWorker := func() Worker[batch, outcome] { return newWorkerRunners(cfg, mode, cache, memos) }
@@ -560,7 +575,8 @@ func RunE1(cfg Config) (*E1Result, error) {
 		}
 		res.Runs++
 	}
-	live, replay, err := partition(cfg, ExperimentE1, mode, jobs)
+	h := cfg.header(ExperimentE1, mode.String(), len(jobs))
+	live, replay, err := partition(cfg, h, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -570,7 +586,7 @@ func RunE1(cfg Config) (*E1Result, error) {
 	for _, o := range replay {
 		collect(o)
 	}
-	res.Metrics, err = runAll(cfg, ExperimentE1, mode, live, len(replay), collect)
+	res.Metrics, err = runAll(cfg, h, mode, live, len(replay), collect)
 	if err != nil {
 		return nil, err
 	}
@@ -659,7 +675,8 @@ func RunE2(cfg Config) (*E2Result, error) {
 		}
 		res.Runs++
 	}
-	live, replay, err := partition(cfg, exp, mode, jobs)
+	h := cfg.header(exp, mode.String(), len(jobs))
+	live, replay, err := partition(cfg, h, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -669,7 +686,7 @@ func RunE2(cfg Config) (*E2Result, error) {
 	for _, o := range replay {
 		collect(o)
 	}
-	res.Metrics, err = runAll(cfg, exp, mode, live, len(replay), collect)
+	res.Metrics, err = runAll(cfg, h, mode, live, len(replay), collect)
 	if err != nil {
 		return nil, err
 	}

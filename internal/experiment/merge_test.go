@@ -44,7 +44,7 @@ func runE1Shard(t *testing.T, spec Spec, sh Shard) *journal.Log {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateShardJournal(spec, ExperimentE1, sh, "", log); err != nil {
+	if err := ValidateShardJournal(spec, ExperimentE1, sh, inject.ModeSnapshot.String(), log); err != nil {
 		t.Fatalf("shard %d journal invalid: %v", sh.Index, err)
 	}
 	return log
@@ -161,7 +161,7 @@ func TestMergeRejectsTruncatedShardThenRecovers(t *testing.T) {
 	}
 
 	// The upload validator rejects it, naming the incompleteness.
-	if err := ValidateShardJournal(spec, ExperimentE1, shards[1], "", truncated); err == nil ||
+	if err := ValidateShardJournal(spec, ExperimentE1, shards[1], inject.ModeSnapshot.String(), truncated); err == nil ||
 		!strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("ValidateShardJournal(truncated) = %v, want incomplete", err)
 	}
@@ -262,7 +262,7 @@ func TestMergedE2MatchesSingleProcess(t *testing.T) {
 		if logs[i], err = journal.Load(path); err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateShardJournal(spec, ExperimentE2, sh, "", logs[i]); err != nil {
+		if err := ValidateShardJournal(spec, ExperimentE2, sh, inject.ModeSnapshot.String(), logs[i]); err != nil {
 			t.Fatalf("shard %d journal invalid: %v", sh.Index, err)
 		}
 	}

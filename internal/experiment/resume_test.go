@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"easig/internal/core"
 	"easig/internal/inject"
 	"easig/internal/journal"
 	"easig/internal/physics"
@@ -197,6 +198,8 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	cfg.Versions = []target.Version{target.VersionEA4}
 	cfg.Grid = 1
 	cfg.Journal = w
+	// Literal, the one engine a recovery campaign can resume on.
+	cfg.Mode = inject.ModeLiteral
 	if _, err := RunE1(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -208,15 +211,38 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same shape, different campaign seed: the header check rejects it.
-	bad := cfg
-	bad.Journal = nil
-	bad.Seed = 2
-	bad.Resume = log
-	if _, err := RunE1(bad); err == nil {
-		t.Error("journal from a different seed accepted")
-	} else if !strings.Contains(err.Error(), "seed") {
-		t.Errorf("unhelpful mismatch error: %v", err)
+	// Same shape, another protocol: the header check rejects each one
+	// and names the field that differs.
+	for _, tc := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"seed", func(c *Config) { c.Seed = 2 }},
+		{"policy", func(c *Config) { c.Policy = inject.Policy{StartMs: 500, PeriodMs: 200} }},
+		{"observation_ms", func(c *Config) { c.ObservationMs = 3000 }},
+		{"placement", func(c *Config) { c.Placement = target.PlacementProducer }},
+		{"recovery", func(c *Config) { c.Recovery = core.PreviousValue{} }},
+	} {
+		bad := cfg
+		bad.Journal = nil
+		bad.Resume = log
+		tc.edit(&bad)
+		if _, err := RunE1(bad); err == nil {
+			t.Errorf("journal from a different %s accepted", tc.field)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s mismatch: unhelpful error: %v", tc.field, err)
+		}
+	}
+
+	// A header without a protocol was written by an older build.
+	old := *log
+	old.Headers = append([]journal.Header(nil), log.Headers...)
+	old.Headers[0].Protocol = nil
+	good := cfg
+	good.Journal = nil
+	good.Resume = &old
+	if _, err := RunE1(good); err == nil || !strings.Contains(err.Error(), "fresh journal") {
+		t.Errorf("header without a protocol: err = %v, want a fresh-journal refusal", err)
 	}
 }
 
@@ -381,7 +407,8 @@ func TestRunAllCancelsOnWorkerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	collected := 0
-	_, err = runAll(cfg, ExperimentE1, mode, jobs, 0, func(outcome) { collected++ })
+	h := cfg.header(ExperimentE1, mode.String(), len(jobs))
+	_, err = runAll(cfg, h, mode, jobs, 0, func(outcome) { collected++ })
 	if err == nil {
 		t.Fatal("worker error not surfaced")
 	}

@@ -148,23 +148,17 @@ func expectedShardKeys(spec Spec, exp string, cases []int) (map[journal.Key]int6
 }
 
 // ValidateShardJournal checks an uploaded shard journal against the
-// campaign: header identity (experiment, seed, grid, runner mode),
-// completeness (every expected run present — a truncated journal is
-// rejected here, keeping the shard claimable), per-record seeds, and
-// the absence of foreign runs.
+// campaign: header identity (experiment, protocol and runner mode, see
+// journal.Header.Match), completeness (every expected run present — a
+// truncated journal is rejected here, keeping the shard claimable),
+// per-record seeds, and the absence of foreign runs.
 func ValidateShardJournal(spec Spec, exp string, shard Shard, runner string, log *journal.Log) error {
-	cfg := Config{Spec: spec}.withDefaults()
 	h, ok := log.Header(exp)
 	if !ok {
 		return fmt.Errorf("experiment: shard %d journal has no %s header", shard.Index, exp)
 	}
-	if h.Seed != cfg.Seed || h.Grid != cfg.Grid {
-		return fmt.Errorf("experiment: shard %d journal is from seed %d grid %d, campaign is seed %d grid %d",
-			shard.Index, h.Seed, h.Grid, cfg.Seed, cfg.Grid)
-	}
-	if runner != "" && h.Runner != "" && h.Runner != runner {
-		return fmt.Errorf("experiment: shard %d journal was recorded by the %s engine, campaign requires %s",
-			shard.Index, h.Runner, runner)
+	if err := h.Match(Config{Spec: spec}.header(exp, runner, 0)); err != nil {
+		return fmt.Errorf("experiment: shard %d: %w", shard.Index, err)
 	}
 	want, err := expectedShardKeys(spec, exp, shard.Cases)
 	if err != nil {

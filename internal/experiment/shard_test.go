@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"easig/internal/inject"
 	"easig/internal/journal"
 )
 
@@ -111,11 +112,9 @@ func fakeShardJournal(spec Spec, exp string, cases []int, runner string) *journa
 	if err != nil {
 		panic(err)
 	}
-	cfg := Config{Spec: spec}.withDefaults()
-	log := &journal.Log{Headers: []journal.Header{{
-		Kind: journal.KindHeader, Experiment: exp,
-		Seed: cfg.Seed, Grid: cfg.Grid, Total: len(keys), Runner: runner,
-	}}}
+	h := Config{Spec: spec}.header(exp, runner, len(keys))
+	h.Kind = journal.KindHeader
+	log := &journal.Log{Headers: []journal.Header{h}}
 	for k, seed := range keys {
 		log.Runs = append(log.Runs, journal.Record{
 			Kind: journal.KindRun, Experiment: exp,
@@ -158,6 +157,15 @@ func TestValidateShardJournal(t *testing.T) {
 	bad := fakeShardJournal(other, ExperimentE1, sh.Cases, "snapshot")
 	if err := ValidateShardJournal(spec, ExperimentE1, sh, "snapshot", bad); err == nil {
 		t.Fatal("journal from a different seed accepted")
+	}
+
+	// Same seed and grid, another injection period.
+	other = spec
+	other.Policy = inject.Policy{StartMs: 500, PeriodMs: 200}
+	bad = fakeShardJournal(other, ExperimentE1, sh.Cases, "snapshot")
+	if err := ValidateShardJournal(spec, ExperimentE1, sh, "snapshot", bad); err == nil ||
+		!strings.Contains(err.Error(), "policy") {
+		t.Fatalf("period-mismatch error = %v, want a policy mismatch", err)
 	}
 
 	// Wrong engine.

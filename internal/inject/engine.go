@@ -81,9 +81,11 @@ func (s *eaStream) copyFrom(o *eaStream) {
 
 // runState is everything a profile run has recorded: both nodes'
 // violation streams, demultiplexed per executable assertion, and the
-// plant readout at the end of the tick that latched a failure. An
-// Engine keeps one at its snapshot (start) and one for the run in
-// progress (cur); the nominal profile keeps the fault-free run's.
+// plant readout at the end of the tick that latched a failure. The
+// slave's streams hold at most their first violation, the only part of
+// them that is read (profileOf). An Engine keeps one at its snapshot
+// (start) and one for the run in progress (cur); the nominal profile
+// keeps the fault-free run's.
 type runState struct {
 	master, slave [target.NumEAs]eaStream
 
@@ -115,12 +117,17 @@ var eaIndex = func() map[string]int {
 // optimizer configuration.
 type recorder struct {
 	ea *[target.NumEAs]eaStream
+	// firstOnly drops every violation after a stream's first.
+	firstOnly bool
 }
 
 // Detect implements core.DetectionSink.
 func (r recorder) Detect(v core.Violation) {
 	if k, ok := eaIndex[v.Signal]; ok {
 		s := &r.ea[k]
+		if r.firstOnly && len(s.times) > 0 {
+			return
+		}
 		s.times = append(s.times, v.Time)
 		s.ids = append(s.ids, v.Test)
 	}
@@ -140,8 +147,8 @@ func newProfileSystem(cfg RunConfig, st *runState) (*target.System, error) {
 		Seed:         cfg.Seed,
 		Version:      target.VersionAll,
 		SlaveVersion: target.VersionAll,
-		Sink:         recorder{&st.master},
-		SlaveSink:    recorder{&st.slave},
+		Sink:         recorder{ea: &st.master},
+		SlaveSink:    recorder{ea: &st.slave, firstOnly: true},
 		Recovery:     core.NoRecovery{},
 		Placement:    cfg.Placement,
 	})

@@ -3,8 +3,8 @@
 // observable and resumable.
 //
 // A journal is an append-only JSONL file. The first line of each
-// campaign is a header naming the experiment, the campaign seed and the
-// grid; every completed run then appends one Record carrying the run
+// campaign is a header naming the experiment, the engine and the whole
+// protocol; every completed run then appends one Record carrying the run
 // coordinates (version, error index, test-case index), the derived
 // per-run seed and the readouts the campaign aggregators consume
 // (detected / failed / latency / per-assertion breakdown). Records are
@@ -18,9 +18,10 @@
 // campaign seed and the run coordinates, so a journaled outcome can be
 // replayed into the aggregators instead of re-executing the run, and an
 // interrupted-then-resumed campaign reproduces the uninterrupted
-// campaign's Tables 7-9 byte for byte. Each Record stores its seed so a
-// resume against a different campaign configuration is detected instead
-// of silently polluting the tables.
+// campaign's Tables 7-9 byte for byte. The header binds the whole
+// protocol and each Record stores its seed, so a resume against a
+// different campaign configuration is refused instead of silently
+// polluting the tables.
 //
 // The same format carries the distributed campaign protocol
 // (SERVICE.md): Claim lines record shard leases and completions in the
@@ -32,10 +33,13 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 )
 
 // Line kinds distinguishing the journal's JSONL record types.
@@ -66,26 +70,77 @@ const (
 )
 
 // Header is the campaign identification line written when a campaign
-// starts (and again when it is resumed). On resume it is checked
-// against the live configuration before any record is replayed.
+// starts (and again when it is resumed). Resume, shard validation and
+// shard merges compare it with Match before any record is replayed.
 type Header struct {
 	// Kind is KindHeader.
 	Kind string `json:"kind"`
 	// Experiment names the campaign ("E1" or "E2", the paper's §3.4
 	// error sets).
 	Experiment string `json:"experiment"`
-	// Seed is the campaign seed every per-run seed derives from.
-	Seed int64 `json:"seed"`
-	// Grid is the test-case grid edge (5 = the paper's 25 cases).
-	Grid int `json:"grid"`
 	// Total is the campaign's total run count at this configuration.
 	Total int `json:"total_runs"`
 	// Runner names the execution engine that produced the records
-	// ("literal", "snapshot" or "memo"). Empty in journals written
-	// before the unified Runner API; on resume a non-empty value must
-	// match the live campaign's resolved engine mode, so e.g. a
-	// memo-mode journal cannot silently extend a literal-mode table.
+	// ("literal", "snapshot" or "memo"), so e.g. a memo-mode journal
+	// cannot silently extend a literal-mode table.
 	Runner string `json:"runner,omitempty"`
+	// Protocol is the canonical JSON of everything that decides the
+	// records' outcomes: a campaign's experiment.Spec with defaults
+	// applied, the shard selector cleared and the recovery policy
+	// added, or a sweep's optimize.Spec. The journal treats it as
+	// opaque bytes.
+	Protocol json.RawMessage `json:"protocol,omitempty"`
+}
+
+// Match returns why records under h, a journal's header, cannot stand
+// for records under want: h names no protocol (an older build wrote
+// it), another protocol, or another engine. It is the one identity
+// check of resume, shard validation and shard merges, so no journal
+// puts one protocol's outcomes into another protocol's tables. The
+// engines are equivalence-tested, but a mixed-provenance table could
+// no longer be attributed to either, so the engine must match too.
+func (h Header) Match(want Header) error {
+	switch {
+	case len(h.Protocol) == 0:
+		return fmt.Errorf("%s journal header records no protocol (an older build wrote it) — start a fresh journal", h.Experiment)
+	case !bytes.Equal(h.Protocol, want.Protocol):
+		return fmt.Errorf("%s journal was recorded under another protocol (%s)", h.Experiment, protocolDiff(h.Protocol, want.Protocol))
+	case h.Runner != want.Runner:
+		return fmt.Errorf("%s journal was recorded by the %s engine, not %s", h.Experiment, h.Runner, want.Runner)
+	}
+	return nil
+}
+
+// protocolDiff names the top-level protocol fields on which the
+// journal's protocol got and the live protocol want disagree.
+func protocolDiff(got, want json.RawMessage) string {
+	var g, w map[string]json.RawMessage
+	if json.Unmarshal(got, &g) != nil || json.Unmarshal(want, &w) != nil {
+		return fmt.Sprintf("journal %s, this run %s", got, want)
+	}
+	keys := make(map[string]bool, len(g)+len(w))
+	for k := range g {
+		keys[k] = true
+	}
+	for k := range w {
+		keys[k] = true
+	}
+	var diffs []string
+	for k := range keys {
+		if !bytes.Equal(g[k], w[k]) {
+			diffs = append(diffs, fmt.Sprintf("%s: journal %s, this run %s", k, orUnset(g[k]), orUnset(w[k])))
+		}
+	}
+	sort.Strings(diffs)
+	return strings.Join(diffs, "; ")
+}
+
+// orUnset renders an omitted protocol field.
+func orUnset(v json.RawMessage) string {
+	if v == nil {
+		return "unset"
+	}
+	return string(v)
 }
 
 // Record is one completed run: its coordinates in the campaign grid,
@@ -343,27 +398,15 @@ func (l *Log) Header(experiment string) (Header, bool) {
 	return Header{}, false
 }
 
-// CheckResume checks that the named experiment's header, if the log
-// has one, was recorded under the live seed, grid and resolved runner
-// mode, so a resume cannot replay records of another configuration.
-// The mode check closes the hole where e.g. a memo-mode journal would
-// silently extend a literal-mode sweep: the engines are equivalence-
-// tested, but a mixed-provenance result could no longer be attributed
-// to either. Journals written before the Runner API carry no mode and
-// resume under any engine.
-func (l *Log) CheckResume(experiment string, seed int64, grid int, runner string) error {
-	h, ok := l.Header(experiment)
-	switch {
-	case !ok:
+// CheckResume checks the header of want's experiment, if the log has
+// one, against want (Header.Match), so a resume cannot replay records
+// of another protocol or engine.
+func (l *Log) CheckResume(want Header) error {
+	h, ok := l.Header(want.Experiment)
+	if !ok {
 		return nil
-	case h.Seed != seed || h.Grid != grid:
-		return fmt.Errorf("journal was recorded for %s seed %d grid %d, not seed %d grid %d",
-			experiment, h.Seed, h.Grid, seed, grid)
-	case h.Runner != "" && h.Runner != runner:
-		return fmt.Errorf("journal was recorded by the %s engine, not %s — rerun with -engine=%s or a fresh journal",
-			h.Runner, runner, h.Runner)
 	}
-	return nil
+	return h.Match(want)
 }
 
 // LookupProbes indexes the named experiment's probe records by their
@@ -412,9 +455,8 @@ func (l *Log) Lookup(experiment string) map[Key]Record {
 // uploaded shard journals before replaying them into the Table 7-9
 // aggregators.
 //
-// Every experiment's headers must agree on seed, grid and runner mode
-// (they were recorded by workers executing the same Spec); the merged
-// header sums the shard totals. Duplicate run records — a shard
+// Every experiment's headers must Match (they were recorded by workers
+// executing the same Spec); the merged header sums the shard totals. Duplicate run records — a shard
 // re-executed after a lease expired under a worker that had in fact
 // completed it — are tolerated: the determinism contract
 // (seed = f(campaign seed, case)) makes every re-execution of a run
@@ -437,13 +479,8 @@ func Merge(logs ...*Log) (*Log, error) {
 				expOrder = append(expOrder, h.Experiment)
 				continue
 			}
-			if have.Seed != h.Seed || have.Grid != h.Grid {
-				return nil, fmt.Errorf("journal: merge: %s shard headers disagree: seed %d grid %d vs seed %d grid %d — shards are from different campaigns",
-					h.Experiment, have.Seed, have.Grid, h.Seed, h.Grid)
-			}
-			if have.Runner != h.Runner {
-				return nil, fmt.Errorf("journal: merge: %s shards were recorded by different engines (%q vs %q) — tables must have a single provenance",
-					h.Experiment, have.Runner, h.Runner)
+			if err := h.Match(*have); err != nil {
+				return nil, fmt.Errorf("journal: merge: shards disagree: %w", err)
 			}
 			have.Total += h.Total
 		}

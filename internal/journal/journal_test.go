@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Header(Header{Experiment: "E1", Seed: 7, Grid: 2, Total: 3}); err != nil {
+	if err := w.Header(Header{Experiment: "E1", Total: 3, Protocol: json.RawMessage(`{"seed":7}`)}); err != nil {
 		t.Fatal(err)
 	}
 	recs := []Record{
@@ -40,7 +41,7 @@ func TestRoundTrip(t *testing.T) {
 	if log.Truncated {
 		t.Error("clean journal flagged truncated")
 	}
-	if len(log.Headers) != 1 || log.Headers[0].Seed != 7 || log.Headers[0].Kind != KindHeader {
+	if len(log.Headers) != 1 || string(log.Headers[0].Protocol) != `{"seed":7}` || log.Headers[0].Kind != KindHeader {
 		t.Fatalf("headers = %+v", log.Headers)
 	}
 	if len(log.Runs) != len(recs) {
@@ -69,7 +70,7 @@ func TestLoadToleratesTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Header(Header{Experiment: "E1", Seed: 1}); err != nil {
+	if err := w.Header(Header{Experiment: "E1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Run(Record{Experiment: "E1", Seed: 2}); err != nil {
@@ -265,7 +266,7 @@ func TestClaimRoundTrip(t *testing.T) {
 func TestMergeShardJournals(t *testing.T) {
 	shard := func(total int, runs ...Record) *Log {
 		return &Log{
-			Headers: []Header{{Experiment: "E1", Seed: 7, Grid: 2, Total: total, Runner: "snapshot"}},
+			Headers: []Header{{Experiment: "E1", Total: total, Runner: "snapshot", Protocol: json.RawMessage(`{"grid":2,"policy":{"start_ms":500,"period_ms":20},"seed":7}`)}},
 			Runs:    runs,
 		}
 	}
@@ -302,9 +303,19 @@ func TestMergeShardJournals(t *testing.T) {
 
 	// Shards from different campaigns must not merge.
 	foreign := shard(1, Record{Experiment: "E1", Version: 8, ErrIdx: 9, CaseIdx: 0, Seed: 99})
-	foreign.Headers[0].Seed = 8
-	if _, err := Merge(a, foreign); err == nil {
-		t.Error("merge accepted shards with disagreeing seeds")
+	foreign.Headers[0].Protocol = json.RawMessage(`{"grid":2,"policy":{"start_ms":500,"period_ms":20},"seed":8}`)
+	if _, err := Merge(a, foreign); err == nil || !strings.Contains(err.Error(), "seed: journal 8, this run 7") {
+		t.Errorf("merge of shards with disagreeing seeds: err = %v", err)
+	}
+	period := shard(1)
+	period.Headers[0].Protocol = json.RawMessage(`{"grid":2,"policy":{"start_ms":500,"period_ms":200},"seed":7}`)
+	if _, err := Merge(a, period); err == nil || !strings.Contains(err.Error(), "policy") {
+		t.Errorf("merge of shards with disagreeing injection periods: err = %v", err)
+	}
+	old := shard(1)
+	old.Headers[0].Protocol = nil
+	if _, err := Merge(a, old); err == nil || !strings.Contains(err.Error(), "fresh journal") {
+		t.Errorf("merge of a shard whose header records no protocol: err = %v", err)
 	}
 	mixed := shard(1)
 	mixed.Headers[0].Runner = "literal"

@@ -108,7 +108,7 @@ func TestLoadToleratesBatchCutMidWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Header(Header{Experiment: "E1", Seed: 1, Total: runs}); err != nil {
+	if err := w.Header(Header{Experiment: "E1", Total: runs}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < runs; i++ {

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -108,8 +109,8 @@ type Options struct {
 	Journal *journal.Writer
 	// Resume, when non-nil, replays journaled probes and the journaled
 	// cost calibration, and dispatches only the missing probes. A
-	// journal recorded under a different seed, grid or probe mode is
-	// rejected.
+	// journal recorded under a different Spec or probe mode is rejected
+	// (journal.Header.Match).
 	Resume *journal.Log
 	// Progress, when non-nil, is called after every profiled or
 	// replayed probe.
@@ -199,15 +200,20 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	cases := physics.Grid(spec.Grid)
 	total := len(errs) * len(cases)
 
+	// The header binds the journal to the whole Spec (defaults applied)
+	// and the probe mode. Marshal cannot fail: the Spec is plain data.
+	protocol, _ := json.Marshal(spec)
+	header := journal.Header{Experiment: exp, Total: total, Runner: mode.String(), Protocol: protocol}
+
 	// Partition against the journal: replayed probe outcomes come
 	// straight from the log, live chunks are dispatched. The resume
-	// soundness checks mirror the campaign's — header seed/grid/mode,
-	// then every replayed record's seed against the re-derived one.
+	// soundness checks mirror the campaign's — the header, then every
+	// replayed record's seed against the re-derived one.
 	outcomes := make([]probeOutcome, 0, total)
 	var replayed map[journal.ProbeKey]journal.Probe
 	cost, haveCost := CostModel{}, false
 	if opt.Resume != nil {
-		if err := opt.Resume.CheckResume(exp, spec.Seed, spec.Grid, mode.String()); err != nil {
+		if err := opt.Resume.CheckResume(header); err != nil {
 			return nil, fmt.Errorf("optimize: %w", err)
 		}
 		replayed = opt.Resume.LookupProbes(exp)
@@ -269,9 +275,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		}
 	}
 	if opt.Journal != nil {
-		if err := opt.Journal.Header(journal.Header{
-			Experiment: exp, Seed: spec.Seed, Grid: spec.Grid, Total: total, Runner: mode.String(),
-		}); err != nil {
+		if err := opt.Journal.Header(header); err != nil {
 			return nil, err
 		}
 		if err := opt.Journal.Cost(costRecord(exp, cost)); err != nil {

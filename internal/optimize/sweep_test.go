@@ -160,6 +160,14 @@ func TestSweepRejectsForeignJournal(t *testing.T) {
 		t.Errorf("seed-mismatch error does not name the seed: %v", err)
 	}
 
+	other = spec
+	other.ObservationMs = 3000
+	if _, err := Run(other, Options{Resume: log, Cost: &cost}); err == nil {
+		t.Error("journal from a 4000 ms window resumed into a 3000 ms sweep")
+	} else if !strings.Contains(err.Error(), "observation_ms") {
+		t.Errorf("window-mismatch error does not name the window: %v", err)
+	}
+
 	if _, err := Run(spec, Options{Resume: log, Mode: inject.ModeSnapshot, Cost: &cost}); err == nil {
 		t.Error("memo-mode journal resumed into a snapshot-mode sweep")
 	}
