@@ -9,7 +9,12 @@ package core
 // It is used alone for the very first observation of a signal, when no
 // previous value s' exists yet. The returned TestID is zero when both
 // tests pass.
-func CheckBounds(p Continuous, s int64) (TestID, bool) {
+func CheckBounds(p Continuous, s int64) (TestID, bool) { return checkBounds(&p, s) }
+
+// checkBounds is CheckBounds on a pointer, so that Monitor.Test does not
+// copy its active parameter set on every call. The check functions
+// below follow the same pattern.
+func checkBounds(p *Continuous, s int64) (TestID, bool) {
 	if s > p.Max {
 		return TestMax, false
 	}
@@ -38,7 +43,11 @@ func CheckBounds(p Continuous, s int64) (TestID, bool) {
 // The first failing mandatory test or an exhausted status group yields
 // the violation's TestID; (0, true) means the signal passed.
 func CheckContinuous(p Continuous, prev, s int64) (TestID, bool) {
-	if id, ok := CheckBounds(p, s); !ok {
+	return checkContinuous(&p, prev, s)
+}
+
+func checkContinuous(p *Continuous, prev, s int64) (TestID, bool) {
+	if id, ok := checkBounds(p, s); !ok {
 		return id, false
 	}
 	switch {
@@ -90,7 +99,11 @@ func CheckContinuous(p Continuous, prev, s int64) (TestID, bool) {
 // CheckDiscreteDomain runs the Table 3 domain assertion s ∈ D shared by
 // random and sequential discrete signals.
 func CheckDiscreteDomain(p Discrete, s int64) (TestID, bool) {
-	if !p.Contains(s) {
+	return checkDiscreteDomain(&p, s)
+}
+
+func checkDiscreteDomain(p *Discrete, s int64) (TestID, bool) {
+	if !p.contains(s) {
 		return TestDomain, false
 	}
 	return 0, true
@@ -103,10 +116,14 @@ func CheckDiscreteDomain(p Discrete, s int64) (TestID, bool) {
 // first so the reported TestID identifies the strongest violated
 // property.
 func CheckDiscrete(p Discrete, sequential bool, prev, s int64) (TestID, bool) {
-	if id, ok := CheckDiscreteDomain(p, s); !ok {
+	return checkDiscrete(&p, sequential, prev, s)
+}
+
+func checkDiscrete(p *Discrete, sequential bool, prev, s int64) (TestID, bool) {
+	if id, ok := checkDiscreteDomain(p, s); !ok {
 		return id, false
 	}
-	if sequential && !p.Allows(prev, s) {
+	if sequential && !p.allows(prev, s) {
 		return TestTransition, false
 	}
 	return 0, true

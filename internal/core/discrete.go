@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,8 +20,13 @@ type Discrete struct {
 	// for linear signals by NewLinear.
 	Trans map[int64][]int64
 
-	domainSet map[int64]bool
-	transSet  map[int64]map[int64]bool
+	// keys is D in ascending order and next[i] is T(keys[i]): the
+	// lookup index of constructor-built sets (see indexed). Lookups
+	// scan them linearly, O(|D|) each; the largest domain monitored
+	// here, the scheduler slot number 0..6, has 7 values, where a scan
+	// beats both a hash lookup and a binary search.
+	keys []int64
+	next [][]int64
 }
 
 // Errors returned by Discrete.Validate; match with errors.Is.
@@ -105,57 +111,61 @@ func (p Discrete) Validate(class Class) error {
 
 // Contains reports whether v is an element of the valid domain D.
 // Parameter sets from the constructors (and those stored in monitors)
-// carry a lookup index; hand-built literals fall back to a linear scan.
-func (p Discrete) Contains(v int64) bool {
-	if p.domainSet != nil {
-		return p.domainSet[v]
-	}
-	for _, d := range p.Domain {
-		if d == v {
-			return true
-		}
-	}
-	return false
-}
+// carry a sorted index; hand-built literals fall back to a scan of
+// Domain.
+func (p Discrete) Contains(v int64) bool { return p.contains(v) }
 
 // Allows reports whether the transition from prev to v is an element of
 // T(prev). Unknown prev values (e.g. after corruption of the stored
 // previous value) allow no transitions.
-func (p Discrete) Allows(prev, v int64) bool {
-	if p.transSet != nil {
-		t, ok := p.transSet[prev]
-		return ok && t[v]
+func (p Discrete) Allows(prev, v int64) bool { return p.allows(prev, v) }
+
+// contains is Contains without the copy of p; the monitor's per-tick
+// tests call it through a pointer to the active parameter set.
+func (p *Discrete) contains(v int64) bool {
+	if p.keys == nil {
+		return slices.Contains(p.Domain, v)
 	}
-	t, ok := p.Trans[prev]
-	if !ok {
-		return false
-	}
-	for _, dst := range t {
-		if dst == v {
-			return true
-		}
-	}
-	return false
+	return p.find(v) >= 0
 }
 
-// indexed returns a copy of p carrying the lookup sets. Constructors and
-// monitors call it once at configuration time, so the amortized cost of
-// the index is nil.
+// allows is Allows without the copy of p.
+func (p *Discrete) allows(prev, v int64) bool {
+	if p.keys == nil {
+		return slices.Contains(p.Trans[prev], v)
+	}
+	i := p.find(prev)
+	return i >= 0 && slices.Contains(p.next[i], v)
+}
+
+// find returns the index of v in keys, or -1, stopping the scan at the
+// first key not below v.
+func (p *Discrete) find(v int64) int {
+	for i, d := range p.keys {
+		if d >= v {
+			if d == v {
+				return i
+			}
+			break
+		}
+	}
+	return -1
+}
+
+// indexed returns a copy of p carrying the sorted index. Constructors
+// and monitors call it once at configuration time, so the amortized
+// cost of the index is nil. It answers exactly as Domain and Trans do
+// for every set that passes Validate: T(d) is only consulted for d in
+// D.
 func (p Discrete) indexed() Discrete {
-	if p.domainSet != nil {
+	if p.keys != nil || len(p.Domain) == 0 {
 		return p
 	}
-	p.domainSet = make(map[int64]bool, len(p.Domain))
-	for _, d := range p.Domain {
-		p.domainSet[d] = true
-	}
-	p.transSet = make(map[int64]map[int64]bool, len(p.Trans))
-	for src, targets := range p.Trans {
-		set := make(map[int64]bool, len(targets))
-		for _, dst := range targets {
-			set[dst] = true
-		}
-		p.transSet[src] = set
+	p.keys = slices.Clone(p.Domain)
+	slices.Sort(p.keys)
+	p.next = make([][]int64, len(p.keys))
+	for i, d := range p.keys {
+		p.next[i] = p.Trans[d]
 	}
 	return p
 }

@@ -30,6 +30,9 @@ func (m *Monitor) UpdateContinuous(mode int, p Continuous) error {
 		return fmt.Errorf("core: monitor %q mode %d: %w", m.name, mode, err)
 	}
 	m.cont[mode] = p
+	if mode == m.mode {
+		m.resolve()
+	}
 	return nil
 }
 

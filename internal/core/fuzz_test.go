@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // Native fuzz targets. `go test` runs the seed corpus as regular unit
 // tests; `go test -fuzz=FuzzCheckContinuous ./internal/core` explores
@@ -72,4 +75,124 @@ func FuzzMonitor(f *testing.F) {
 				m.Tests(), len(samples), m.Violations(), violations)
 		}
 	})
+}
+
+// FuzzDiscreteIndex checks that the sorted index of a Discrete answers
+// Contains, Allows and CheckDiscrete exactly as Table 3's definitions
+// read straight off Domain and Trans, for hand-built sets, the
+// constructors' sets and a monitor's active set. The seed corpus is in
+// testdata/fuzz/FuzzDiscreteIndex.
+func FuzzDiscreteIndex(f *testing.F) {
+	f.Fuzz(checkDiscreteIndex)
+}
+
+// discreteFromBytes decodes a parameter set: up to eight distinct
+// domain values from big-endian int16 pairs of domain, scaled by 37 so
+// that domains come out unsorted, negative and sparse, and for each
+// domain value a bit mask from trans selecting T(d) among the domain
+// values (a zero mask leaves d without a T(d) entry).
+func discreteFromBytes(domain, trans []byte, sequential bool) Discrete {
+	var p Discrete
+	for i := 0; i+1 < len(domain) && len(p.Domain) < 8; i += 2 {
+		v := int64(int16(binary.BigEndian.Uint16(domain[i:]))) * 37
+		if !defContains(p, v) {
+			p.Domain = append(p.Domain, v)
+		}
+	}
+	if !sequential || len(trans) == 0 {
+		return p
+	}
+	p.Trans = make(map[int64][]int64)
+	for i, d := range p.Domain {
+		mask := trans[i%len(trans)]
+		for j, dst := range p.Domain {
+			if mask&(1<<j) != 0 {
+				p.Trans[d] = append(p.Trans[d], dst)
+			}
+		}
+	}
+	return p
+}
+
+// defContains and defAllows are Table 3's s ∈ D and s ∈ T(s'), read
+// straight off the exported fields.
+func defContains(p Discrete, v int64) bool {
+	for _, d := range p.Domain {
+		if d == v {
+			return true
+		}
+	}
+	return false
+}
+
+func defAllows(p Discrete, prev, v int64) bool {
+	for _, d := range p.Trans[prev] {
+		if d == v {
+			return true
+		}
+	}
+	return false
+}
+
+func checkDiscreteIndex(t *testing.T, domain, trans []byte, sequential bool, prev, s int64) {
+	p := discreteFromBytes(domain, trans, sequential)
+	// Probe every domain value, its neighbours (mostly outside the
+	// sparse domain) and the fuzzed prev and s.
+	probes := []int64{prev, s}
+	for _, d := range p.Domain {
+		probes = append(probes, d, d-1, d+1)
+	}
+	sets := []Discrete{p, p.indexed(), NewRandom(p.Domain)}
+	if len(p.Domain) > 0 {
+		sets = append(sets, NewLinear(p.Domain, sequential, len(trans)%2 == 1))
+	}
+	for _, q := range sets {
+		def := Discrete{Domain: q.Domain, Trans: q.Trans}
+		for _, a := range probes {
+			if got, want := q.Contains(a), defContains(def, a); got != want {
+				t.Fatalf("%v: Contains(%d) = %v, want %v", def, a, got, want)
+			}
+			for _, b := range probes {
+				if got, want := q.Allows(a, b), defAllows(def, a, b); got != want {
+					t.Fatalf("%v: Allows(%d, %d) = %v, want %v", def, a, b, got, want)
+				}
+				id, ok := CheckDiscrete(q, sequential, a, b)
+				wantID := TestID(0)
+				if !defContains(def, b) {
+					wantID = TestDomain
+				} else if sequential && !defAllows(def, a, b) {
+					wantID = TestTransition
+				}
+				if id != wantID || ok != (wantID == 0) {
+					t.Fatalf("%v: CheckDiscrete(seq=%v, %d, %d) = (%v, %v), want %v",
+						def, sequential, a, b, id, ok, wantID)
+				}
+			}
+		}
+	}
+	// A monitor judges by its own indexed copy of the set. Without
+	// recovery the stored s' is the last observation, so priming with
+	// a and testing b runs CheckDiscrete(a, b).
+	if len(p.Domain) == 0 || (sequential && p.Trans == nil) {
+		return
+	}
+	class := DiscreteRandom
+	if sequential {
+		class = DiscreteSequentialNonLinear
+	}
+	m, err := NewDiscreteSingle("fuzz", class, p, WithRecovery(NoRecovery{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range probes {
+		for _, b := range probes {
+			m.Reset()
+			m.Test(0, a)
+			_, v := m.Test(1, b)
+			want, ok := CheckDiscrete(p, sequential, a, b)
+			if (v == nil) != ok || (v != nil && v.Test != want) {
+				t.Fatalf("%v: monitor judged %d -> %d as %v, want %v", p, a, b, v, want)
+			}
+		}
+	}
 }

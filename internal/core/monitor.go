@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 )
 
@@ -55,6 +56,11 @@ type Monitor struct {
 
 	cont map[int]Continuous
 	disc map[int]Discrete
+	// pc or pd holds the active mode's parameter set, re-read by
+	// resolve whenever the mode or its set changes, so Test needs no
+	// map lookup.
+	pc Continuous
+	pd Discrete
 
 	mode     int
 	prev     PrevStore
@@ -116,7 +122,8 @@ func WithPrevStore(s PrevStore) MonitorOption {
 
 // NewContinuous builds a monitor for a continuous signal with one
 // parameter set per mode. Every set must be a legal instantiation of
-// class per Table 1.
+// class per Table 1. The sets are copied, so later changes to the
+// caller's map do not affect the monitor.
 func NewContinuous(name string, class Class, modes map[int]Continuous, opts ...MonitorOption) (*Monitor, error) {
 	if len(modes) == 0 {
 		return nil, ErrNoModes
@@ -129,7 +136,7 @@ func NewContinuous(name string, class Class, modes map[int]Continuous, opts ...M
 	m := &Monitor{
 		name:     name,
 		class:    class,
-		cont:     modes,
+		cont:     maps.Clone(modes),
 		prev:     &fieldStore{},
 		recovery: PreviousValue{},
 	}
@@ -139,6 +146,7 @@ func NewContinuous(name string, class Class, modes map[int]Continuous, opts ...M
 	if _, ok := m.cont[m.mode]; !ok {
 		return nil, fmt.Errorf("%w %d (monitor %q)", ErrUnknownMode, m.mode, name)
 	}
+	m.resolve()
 	return m, nil
 }
 
@@ -148,7 +156,7 @@ func NewContinuousSingle(name string, class Class, p Continuous, opts ...Monitor
 }
 
 // NewDiscrete builds a monitor for a discrete signal with one parameter
-// set per mode. The sets are copied (and indexed for O(1) lookups), so
+// set per mode. The sets are copied (and indexed, see Discrete.indexed), so
 // later changes to the caller's map do not affect the monitor.
 func NewDiscrete(name string, class Class, modes map[int]Discrete, opts ...MonitorOption) (*Monitor, error) {
 	if len(modes) == 0 {
@@ -174,6 +182,7 @@ func NewDiscrete(name string, class Class, modes map[int]Discrete, opts ...Monit
 	if _, ok := m.disc[m.mode]; !ok {
 		return nil, fmt.Errorf("%w %d (monitor %q)", ErrUnknownMode, m.mode, name)
 	}
+	m.resolve()
 	return m, nil
 }
 
@@ -209,7 +218,19 @@ func (m *Monitor) SetMode(mode int) error {
 		return fmt.Errorf("%w %d (monitor %q)", ErrUnknownMode, mode, m.name)
 	}
 	m.mode = mode
+	m.resolve()
 	return nil
+}
+
+// resolve re-reads the active mode's parameter set into pc or pd. A
+// mode without a set (RestoreState does not validate) resolves to the
+// zero set, exactly as the per-test map lookup it replaces did.
+func (m *Monitor) resolve() {
+	if m.cont != nil {
+		m.pc = m.cont[m.mode]
+	} else {
+		m.pd = m.disc[m.mode]
+	}
 }
 
 // Reset clears the previous-value state so the next observation primes
@@ -238,18 +259,16 @@ func (m *Monitor) Test(now, s int64) (int64, *Violation) {
 		ok bool
 	)
 	if m.cont != nil {
-		p := m.cont[m.mode]
 		if m.primed {
-			id, ok = CheckContinuous(p, prev, s)
+			id, ok = checkContinuous(&m.pc, prev, s)
 		} else {
-			id, ok = CheckBounds(p, s)
+			id, ok = checkBounds(&m.pc, s)
 		}
 	} else {
-		p := m.disc[m.mode]
 		if m.primed {
-			id, ok = CheckDiscrete(p, m.class.IsSequential(), prev, s)
+			id, ok = checkDiscrete(&m.pd, m.class.IsSequential(), prev, s)
 		} else {
-			id, ok = CheckDiscreteDomain(p, s)
+			id, ok = checkDiscreteDomain(&m.pd, s)
 		}
 	}
 	if ok {
@@ -273,9 +292,9 @@ func (m *Monitor) Test(now, s int64) (int64, *Violation) {
 	}
 	var recovered int64
 	if m.cont != nil {
-		recovered = m.recovery.RecoverContinuous(m.scratch, m.cont[m.mode])
+		recovered = m.recovery.RecoverContinuous(m.scratch, m.pc)
 	} else {
-		recovered = m.recovery.RecoverDiscrete(m.scratch, m.disc[m.mode])
+		recovered = m.recovery.RecoverDiscrete(m.scratch, m.pd)
 	}
 	m.prev.StorePrev(recovered)
 	m.primed = true

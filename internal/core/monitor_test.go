@@ -228,3 +228,104 @@ func TestRecorderReset(t *testing.T) {
 		t.Error("Reset did not clear the recorder")
 	}
 }
+
+// TestMonitorModeCache pins that Test judges by the active mode's
+// current parameter set after every way the mode or its set can change:
+// SetMode, RestoreState to another mode and UpdateContinuous of the
+// active mode. The monitor resolves the set once per change instead of
+// once per Test, so a missed refresh would judge by stale parameters.
+func TestMonitorModeCache(t *testing.T) {
+	tight := Continuous{Min: 0, Max: 10, Incr: Rate{0, 100}, Decr: Rate{0, 100}}
+	wide := Continuous{Min: 0, Max: 100, Incr: Rate{0, 100}, Decr: Rate{0, 100}}
+	m, err := NewContinuous("sig", ContinuousRandom, map[int]Continuous{0: tight, 1: wide},
+		WithRecovery(NoRecovery{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// judge reports whether 50, far outside tight and inside wide,
+	// passes under the active parameters.
+	judge := func() bool {
+		m.Reset()
+		_, v := m.Test(0, 50)
+		return v == nil
+	}
+	if judge() {
+		t.Fatal("mode 0: 50 above smax 10 accepted")
+	}
+	if err := m.SetMode(1); err != nil {
+		t.Fatal(err)
+	}
+	if !judge() {
+		t.Fatal("SetMode(1): still judged by mode 0")
+	}
+	inWide := m.State()
+	if err := m.SetMode(0); err != nil {
+		t.Fatal(err)
+	}
+	if judge() {
+		t.Fatal("SetMode(0): still judged by mode 1")
+	}
+	m.RestoreState(inWide)
+	if !judge() {
+		t.Fatal("RestoreState to mode 1: still judged by mode 0")
+	}
+	inWide.Mode = 0
+	m.RestoreState(inWide)
+	if judge() {
+		t.Fatal("RestoreState to mode 0: still judged by mode 1")
+	}
+	// Updating another mode leaves the active set alone; updating the
+	// active mode takes effect at the next Test.
+	if err := m.UpdateContinuous(1, tight); err != nil {
+		t.Fatal(err)
+	}
+	if judge() {
+		t.Fatal("UpdateContinuous of inactive mode 1 changed the active set")
+	}
+	if err := m.UpdateContinuous(0, wide); err != nil {
+		t.Fatal(err)
+	}
+	if !judge() {
+		t.Fatal("UpdateContinuous of active mode 0: still judged by the old set")
+	}
+
+	d, err := NewDiscrete("slot", DiscreteRandom, map[int]Discrete{
+		0: NewRandom([]int64{1, 2}),
+		1: NewRandom([]int64{3}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, v := d.Test(0, 3); v == nil {
+		t.Fatal("discrete mode 0: 3 outside {1, 2} accepted")
+	}
+	if err := d.SetMode(1); err != nil {
+		t.Fatal(err)
+	}
+	d.Reset()
+	if _, v := d.Test(1, 3); v != nil {
+		t.Fatalf("discrete SetMode(1): still judged by mode 0: %v", v)
+	}
+}
+
+// TestNewContinuousCopiesModes pins that a monitor owns its parameter
+// sets: neither later edits of the caller's map nor UpdateContinuous
+// leak across that boundary.
+func TestNewContinuousCopiesModes(t *testing.T) {
+	p := Continuous{Min: 0, Max: 10, Incr: Rate{0, 100}, Decr: Rate{0, 100}}
+	modes := map[int]Continuous{0: p}
+	m, err := NewContinuous("sig", ContinuousRandom, modes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes[0] = Continuous{Min: 0, Max: 100, Incr: Rate{0, 100}, Decr: Rate{0, 100}}
+	if _, v := m.Test(0, 50); v == nil {
+		t.Fatal("edit of the caller's map reached the monitor")
+	}
+	if err := m.UpdateContinuous(0, Continuous{Min: 0, Max: 5, Incr: Rate{0, 1}, Decr: Rate{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if modes[0].Max != 100 {
+		t.Fatalf("UpdateContinuous wrote into the caller's map: %v", modes[0])
+	}
+}

@@ -281,3 +281,15 @@ func TestQuickCounterWrapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The sorted Discrete index answers as Table 3's definitions over
+// random sets (FuzzDiscreteIndex explores further from its corpus).
+func TestQuickDiscreteIndex(t *testing.T) {
+	f := func(domain, trans []byte, sequential bool, prev, s int64) bool {
+		checkDiscreteIndex(t, domain, trans, sequential, prev, s)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

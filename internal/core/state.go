@@ -35,7 +35,10 @@ func (m *Monitor) State() MonitorState {
 // monitor's PrevStore to the matching point in time.
 func (m *Monitor) RestoreState(s MonitorState) {
 	m.primed = s.Primed
-	m.mode = s.Mode
+	if s.Mode != m.mode {
+		m.mode = s.Mode
+		m.resolve()
+	}
 	atomic.StoreUint64(&m.tests, s.Tests)
 	atomic.StoreUint64(&m.violations, s.Violations)
 }

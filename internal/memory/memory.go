@@ -66,13 +66,26 @@ type AccessSink interface {
 type Memory struct {
 	regions []region
 	sink    AccessSink
+	traced  bool // sink != nil, the one field Var16's accessors test
 }
 
 // SetAccessSink arms (or, with nil, disarms) the access sink. While
 // armed, every software load and store through this Memory and its
-// bound Var16 accessors is reported. The disarmed fast path is a nil
-// check, so campaigns that never trace pay (almost) nothing.
-func (m *Memory) SetAccessSink(s AccessSink) { m.sink = s }
+// bound Var16 accessors is reported. The disarmed fast path is one
+// flag test, so campaigns that never trace pay (almost) nothing.
+func (m *Memory) SetAccessSink(s AccessSink) {
+	m.sink = s
+	m.traced = s != nil
+}
+
+// report hands one Var16 access to the armed sink. It stays out of
+// line so that the accessors' untraced path remains small enough to
+// inline.
+//
+//go:noinline
+func (m *Memory) report(addr uint16, n int, write bool) {
+	m.sink.OnAccess(addr, n, write)
+}
 
 // New builds a memory from the given region specifications. Regions
 // may be listed in any order; they are kept sorted by base address.

@@ -20,7 +20,7 @@ func TestBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.buf == nil || v.Addr() != 0x100 {
+	if v.w == nil || v.Addr() != 0x100 {
 		t.Fatalf("bound var = %+v", v)
 	}
 	if _, err := Bind(m, "oob", 0x00); err == nil {
