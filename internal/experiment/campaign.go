@@ -277,11 +277,11 @@ func record(exp string, o outcome, seed int64) journal.Record {
 	return rec
 }
 
-// replayed converts a journaled record back into the outcome the
+// replay converts a journaled record back into the outcome the
 // aggregators would have collected live. Only the aggregated fields
 // (detected/failed/latency/ByTest) round-trip; plant readouts do not,
 // which is fine because no table consumes them.
-func replayed(j job, rec journal.Record) outcome {
+func replay(j job, rec journal.Record) outcome {
 	res := inject.RunResult{
 		Detected:  rec.Detected,
 		Failed:    rec.Failed,
@@ -296,24 +296,27 @@ func replayed(j job, rec journal.Record) outcome {
 	return outcome{job: j, res: res}
 }
 
-// partition splits the campaign jobs into journaled outcomes (to be
-// replayed straight into the aggregators) and live jobs still to
-// dispatch. It enforces the resume soundness checks: the journal's
-// header must match the live header h — protocol AND resolved runner
-// mode (journal.Log.CheckResume) — and every replayed record's stored
-// seed must equal the seed re-derived from the run coordinates.
-func partition(cfg Config, h journal.Header, jobs []job) (live []job, replay []outcome, err error) {
+// partition splits the campaign jobs into journaled outcomes, replayed
+// straight into collect in job order, and live jobs still to dispatch;
+// it returns the live jobs and the number replayed. It enforces the
+// resume soundness checks: the journal's header must match the live
+// header h — protocol AND resolved runner mode (journal.Log.CheckResume)
+// — and every replayed record's stored seed must equal the seed
+// re-derived from the run coordinates. On error the collected outcomes
+// are partial and the caller discards them.
+func partition(cfg Config, h journal.Header, jobs []job, collect func(outcome)) (live []job, replayed int, err error) {
 	if cfg.Resume == nil {
-		return jobs, nil, nil
+		return jobs, 0, nil
 	}
 	if err := cfg.Resume.CheckResume(h); err != nil {
-		return nil, nil, fmt.Errorf("experiment: %w", err)
+		return nil, 0, fmt.Errorf("experiment: %w", err)
 	}
 	exp := h.Experiment
 	byKey := cfg.Resume.Lookup(exp)
 	if len(byKey) == 0 {
-		return jobs, nil, nil
+		return jobs, 0, nil
 	}
+	live = make([]job, 0, max(len(jobs)-len(byKey), 0))
 	for _, j := range jobs {
 		rec, ok := byKey[journal.Key{Version: int(j.version), ErrIdx: j.errIdx, CaseIdx: j.caseIdx}]
 		if !ok {
@@ -321,12 +324,13 @@ func partition(cfg Config, h journal.Header, jobs []job) (live []job, replay []o
 			continue
 		}
 		if want := runSeed(cfg.Seed, j.caseIdx); rec.Seed != want {
-			return nil, nil, fmt.Errorf("experiment: journaled %s run %s case %d has seed %d, want %d — journal is from a different campaign",
+			return nil, 0, fmt.Errorf("experiment: journaled %s run %s case %d has seed %d, want %d — journal is from a different campaign",
 				exp, j.err.ID, j.caseIdx, rec.Seed, want)
 		}
-		replay = append(replay, replayed(j, rec))
+		collect(replay(j, rec))
+		replayed++
 	}
-	return live, replay, nil
+	return live, replayed, nil
 }
 
 // checkReplayOnly enforces Exec.ReplayOnly after partitioning: a
@@ -555,7 +559,7 @@ func RunE1(cfg Config) (*E1Result, error) {
 	for i := range res.ByTest {
 		res.ByTest[i] = make(map[core.TestID]int)
 	}
-	var jobs []job
+	jobs := make([]job, 0, len(cfg.Versions)*len(errors)*len(cases))
 	for _, v := range cfg.Versions {
 		for ei, e := range errors {
 			for _, gc := range cases {
@@ -576,17 +580,14 @@ func RunE1(cfg Config) (*E1Result, error) {
 		res.Runs++
 	}
 	h := cfg.header(ExperimentE1, mode.String(), len(jobs))
-	live, replay, err := partition(cfg, h, jobs)
+	live, replayed, err := partition(cfg, h, jobs, collect)
 	if err != nil {
 		return nil, err
 	}
 	if err := cfg.checkReplayOnly(ExperimentE1, live, len(jobs)); err != nil {
 		return nil, err
 	}
-	for _, o := range replay {
-		collect(o)
-	}
-	res.Metrics, err = runAll(cfg, h, mode, live, len(replay), collect)
+	res.Metrics, err = runAll(cfg, h, mode, live, replayed, collect)
 	if err != nil {
 		return nil, err
 	}
@@ -658,7 +659,7 @@ func RunE2(cfg Config) (*E2Result, error) {
 		res.LatencyAll[region] = &stats.Latency{}
 		res.LatencyFail[region] = &stats.Latency{}
 	}
-	var jobs []job
+	jobs := make([]job, 0, len(errors)*len(cases))
 	for ei, e := range errors {
 		for _, gc := range cases {
 			jobs = append(jobs, job{version: target.VersionAll, errIdx: ei, err: e, caseIdx: gc.idx, tc: gc.tc})
@@ -676,17 +677,14 @@ func RunE2(cfg Config) (*E2Result, error) {
 		res.Runs++
 	}
 	h := cfg.header(exp, mode.String(), len(jobs))
-	live, replay, err := partition(cfg, h, jobs)
+	live, replayed, err := partition(cfg, h, jobs, collect)
 	if err != nil {
 		return nil, err
 	}
 	if err := cfg.checkReplayOnly(exp, live, len(jobs)); err != nil {
 		return nil, err
 	}
-	for _, o := range replay {
-		collect(o)
-	}
-	res.Metrics, err = runAll(cfg, h, mode, live, len(replay), collect)
+	res.Metrics, err = runAll(cfg, h, mode, live, replayed, collect)
 	if err != nil {
 		return nil, err
 	}

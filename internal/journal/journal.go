@@ -13,6 +13,12 @@
 // killed campaign leaves at most one truncated trailing line — which
 // Load tolerates.
 //
+// Replay is one pass. Read decodes each line once, straight off the
+// scanner and without copying it, into the type its leading "kind" key
+// names; a campaign then streams the loaded records into its
+// aggregators (experiment.partition) without an intermediate outcome
+// list, before any live run is dispatched.
+//
 // Resume soundness rests on the determinism contract documented in
 // ARCHITECTURE.md: every per-run seed is a pure function of the
 // campaign seed and the run coordinates, so a journaled outcome can be
@@ -35,6 +41,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -112,11 +119,14 @@ func (h Header) Match(want Header) error {
 }
 
 // protocolDiff names the top-level protocol fields on which the
-// journal's protocol got and the live protocol want disagree.
+// journal's protocol got and the live protocol want disagree, or quotes
+// both protocols when they are not JSON objects or no field differs
+// (the same fields, spaced or ordered differently).
 func protocolDiff(got, want json.RawMessage) string {
+	raw := fmt.Sprintf("journal %s, this run %s", got, want)
 	var g, w map[string]json.RawMessage
 	if json.Unmarshal(got, &g) != nil || json.Unmarshal(want, &w) != nil {
-		return fmt.Sprintf("journal %s, this run %s", got, want)
+		return raw
 	}
 	keys := make(map[string]bool, len(g)+len(w))
 	for k := range g {
@@ -130,6 +140,9 @@ func protocolDiff(got, want json.RawMessage) string {
 		if !bytes.Equal(g[k], w[k]) {
 			diffs = append(diffs, fmt.Sprintf("%s: journal %s, this run %s", k, orUnset(g[k]), orUnset(w[k])))
 		}
+	}
+	if len(diffs) == 0 {
+		return raw
 	}
 	sort.Strings(diffs)
 	return strings.Join(diffs, "; ")
@@ -321,71 +334,135 @@ func Load(path string) (*Log, error) {
 // when a worker uploads it over HTTP (SERVICE.md) instead of leaving it
 // on local disk. Semantics match Load: a malformed final line is
 // dropped and flagged Truncated, a malformed interior line is an error.
+//
+// Lines are decoded one at a time, straight off the scanner, and each
+// is unmarshalled once: every writer emits "kind" as its first key, so
+// the kind is read off the line's {"kind":"…" prefix and the line goes
+// straight into that kind's type. A line that does not start with its
+// kind, or whose decode fails or names another kind (a duplicate "kind"
+// key, where the last one wins), takes the general path instead:
+// unmarshal "kind" alone, then the record it names.
 func Read(r io.Reader) (*Log, error) {
-	var lines [][]byte
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	log := &Log{}
+	n := 0
+	// malformed holds the latest line's kind-probe error: the line is
+	// a truncated tail unless a later non-empty line follows it.
+	var malformed error
 	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
+		line := sc.Bytes()
+		if len(line) == 0 {
 			continue
 		}
-		line := make([]byte, len(sc.Bytes()))
-		copy(line, sc.Bytes())
-		lines = append(lines, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading: %w", err)
-	}
-
-	log := &Log{}
-	for i, line := range lines {
+		if malformed != nil {
+			return nil, malformed
+		}
+		n++
+		if kind := sniffKind(line); kind != "" && log.decode(kind, line, kind) == nil {
+			continue
+		}
 		var probe struct {
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
-			if i == len(lines)-1 {
-				log.Truncated = true
-				break
-			}
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
+			malformed = fmt.Errorf("line %d: %w", n, err)
+			continue
 		}
-		switch probe.Kind {
-		case KindHeader:
-			var h Header
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			log.Headers = append(log.Headers, h)
-		case KindRun:
-			var r Record
-			if err := json.Unmarshal(line, &r); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			log.Runs = append(log.Runs, r)
-		case KindClaim, KindShardDone:
-			var c Claim
-			if err := json.Unmarshal(line, &c); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			log.Claims = append(log.Claims, c)
-		case KindProbe:
-			var p Probe
-			if err := json.Unmarshal(line, &p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			log.Probes = append(log.Probes, p)
-		case KindCost:
-			var c Cost
-			if err := json.Unmarshal(line, &c); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			log.Costs = append(log.Costs, c)
-		default:
-			// Unknown kinds are skipped so old readers survive future
-			// record types.
+		if err := log.decode(probe.Kind, line, ""); err != nil {
+			return nil, fmt.Errorf("line %d: %w", n, err)
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("reading: %w", err)
+	}
+	log.Truncated = malformed != nil
 	return log, nil
+}
+
+// kindPrefix opens every line the journal's writers emit.
+const kindPrefix = `{"kind":"`
+
+// sniffKind returns the known kind that line opens with, or "" when the
+// line does not start with a known kind's {"kind":"…" prefix.
+func sniffKind(line []byte) string {
+	if !bytes.HasPrefix(line, []byte(kindPrefix)) {
+		return ""
+	}
+	rest := line[len(kindPrefix):]
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 {
+		return ""
+	}
+	for _, kind := range [...]string{KindHeader, KindRun, KindClaim, KindShardDone, KindProbe, KindCost} {
+		if string(rest[:end]) == kind {
+			return kind
+		}
+	}
+	return ""
+}
+
+// maxPresizedRuns caps the Runs capacity Read reserves from a header's
+// total_runs, which an uploaded shard journal could inflate.
+const maxPresizedRuns = 1 << 17
+
+// errKindMismatch reports a line whose decoded kind is not the one its
+// prefix named.
+var errKindMismatch = errors.New("decoded kind differs from the line's prefix")
+
+// decode unmarshals line as a record of the given kind and appends it to
+// the log; unknown kinds are skipped so old readers survive future record
+// types. A non-empty want refuses, unappended, a record whose decoded
+// Kind is not want.
+func (l *Log) decode(kind string, line []byte, want string) error {
+	switch kind {
+	case KindHeader:
+		var h Header
+		if err := unmarshalKind(line, &h, &h.Kind, want); err != nil {
+			return err
+		}
+		l.Headers = append(l.Headers, h)
+	case KindRun:
+		var r Record
+		if err := unmarshalKind(line, &r, &r.Kind, want); err != nil {
+			return err
+		}
+		if l.Runs == nil && len(l.Headers) > 0 {
+			l.Runs = make([]Record, 0, min(max(l.Headers[0].Total, 1), maxPresizedRuns))
+		}
+		l.Runs = append(l.Runs, r)
+	case KindClaim, KindShardDone:
+		var c Claim
+		if err := unmarshalKind(line, &c, &c.Kind, want); err != nil {
+			return err
+		}
+		l.Claims = append(l.Claims, c)
+	case KindProbe:
+		var p Probe
+		if err := unmarshalKind(line, &p, &p.Kind, want); err != nil {
+			return err
+		}
+		l.Probes = append(l.Probes, p)
+	case KindCost:
+		var c Cost
+		if err := unmarshalKind(line, &c, &c.Kind, want); err != nil {
+			return err
+		}
+		l.Costs = append(l.Costs, c)
+	}
+	return nil
+}
+
+// unmarshalKind unmarshals line into v, whose Kind field is kind, and
+// refuses the result when want is set and the decoded kind is not want.
+func unmarshalKind(line []byte, v any, kind *string, want string) error {
+	if err := json.Unmarshal(line, v); err != nil {
+		return err
+	}
+	if want != "" && *kind != want {
+		return errKindMismatch
+	}
+	return nil
 }
 
 // Header returns the first header of the named experiment.
@@ -414,7 +491,7 @@ func (l *Log) CheckResume(want Header) error {
 // once) the last occurrence wins — re-executions are byte-identical by
 // the determinism contract, matching Lookup's run semantics.
 func (l *Log) LookupProbes(experiment string) map[ProbeKey]Probe {
-	out := make(map[ProbeKey]Probe)
+	out := make(map[ProbeKey]Probe, len(l.Probes))
 	for _, p := range l.Probes {
 		if p.Experiment == experiment {
 			out[p.Key()] = p
@@ -440,7 +517,7 @@ func (l *Log) Cost(experiment string) (Cost, bool) {
 // a run appears twice (a journal resumed more than once) the last
 // occurrence wins.
 func (l *Log) Lookup(experiment string) map[Key]Record {
-	out := make(map[Key]Record)
+	out := make(map[Key]Record, len(l.Runs))
 	for _, r := range l.Runs {
 		if r.Experiment == experiment {
 			out[r.Key()] = r
@@ -465,6 +542,15 @@ func (l *Log) Lookup(experiment string) map[Key]Record {
 // table cell; out-of-order shard completion is the normal case.
 func Merge(logs ...*Log) (*Log, error) {
 	merged := &Log{}
+	runs := 0
+	for _, l := range logs {
+		if l != nil {
+			runs += len(l.Runs)
+		}
+	}
+	if runs > 0 {
+		merged.Runs = make([]Record, 0, runs)
+	}
 	byExp := make(map[string]*Header)
 	var expOrder []string
 	for i, l := range logs {

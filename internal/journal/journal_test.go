@@ -323,3 +323,28 @@ func TestMergeShardJournals(t *testing.T) {
 		t.Error("merge accepted shards from different engines")
 	}
 }
+
+// Lines that do not open with their own kind leave Read's prefix path
+// and must decode exactly as the kind probe reads them: reordered keys
+// as their kind, a duplicate "kind" key as its last value, and a final
+// line that is valid JSON but mistyped as an error, not a truncation.
+func TestReadOffThePrefixPath(t *testing.T) {
+	header := `{"kind":"header","experiment":"E1","total_runs":2}` + "\n"
+	log, err := Read(strings.NewReader(header +
+		`{"experiment":"E1","kind":"run","err_idx":1,"seed":5}` + "\n" +
+		`{"kind":"run","experiment":"E1","err_idx":2,"kind":"probe"}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Runs) != 1 || log.Runs[0].ErrIdx != 1 || log.Runs[0].Seed != 5 {
+		t.Errorf("reordered-keys run line read as %+v", log.Runs)
+	}
+	if len(log.Probes) != 1 || log.Probes[0].ErrIdx != 2 || log.Probes[0].Kind != KindProbe {
+		t.Errorf("duplicate-kind line read as runs %+v, probes %+v", log.Runs, log.Probes)
+	}
+
+	_, err = Read(strings.NewReader(header + `{"kind":"run","experiment":"E1","version":"eight"}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("mistyped final line: err = %v, want a line 2 error", err)
+	}
+}
