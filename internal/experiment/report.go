@@ -100,11 +100,6 @@ func (TextFormat) Render(w io.Writer, r *Results) error {
 			cov, _, _ := r.E2.Total()
 			fmt.Fprintf(w, "Measured Pdetect over the full fault space (%d positions x %d cases): %.2f%%\n",
 				len(inject.BuildExhaustive()), cases, cov.All.Percent())
-			m := r.E2.Metrics
-			fmt.Fprintf(w, "Runner: %s — %d errors served: %d simulated, %d pruned benign (%.1f%%), %d memo hits (%.1f%%)\n",
-				m.Runner, m.Errors, m.Simulated,
-				m.Pruned, 100*m.PruneRate,
-				m.MemoHits, 100*m.MemoHitRate)
 		}
 	}
 	if r.E1 != nil || r.E2 != nil {

@@ -16,12 +16,20 @@ import (
 // readout that can still change is a first detection raised by the
 // decaying actuation transient — the set point slews to zero within
 // 85 ms, the valves drain with a 150 ms time constant and the velocity
-// estimator window is 128 ms. The engine therefore keeps observing for
-// QuietWindowMs after the stop and then declares the outcome decided.
-// Measured over full-observation sweeps of both error sets, the latest
-// first detection ever seen was 100 ms after the stop; the equivalence
-// tests in internal/experiment re-verify the window against from-scratch
-// runs on every change.
+// estimator window is 128 ms — or by the re-applied flip. The engine
+// therefore keeps observing for QuietWindowMs after the later of the
+// stop and the first injection, and then declares the outcome decided.
+// The argument relies on the schedule: the window must see both phases
+// of the re-applied flip (the bit flipped and flipped back) after the
+// stop, so the engine takes the exit only when two injection periods
+// fit in it. On the paper's schedule (first injection at 500 ms, 20 ms
+// period) the aircraft always stops after the first injection and two
+// periods fit many times over. Measured over full-observation sweeps of
+// both error sets on that schedule, the latest first detection ever seen was
+// 100 ms after the stop; the equivalence tests in internal/inject and
+// internal/experiment re-verify the window against from-scratch runs,
+// on that schedule and on late starts and long periods, on every
+// change.
 const QuietWindowMs = 1024
 
 // plantReadout is the subset of plant state a from-scratch run reads
@@ -190,11 +198,9 @@ type Engine struct {
 	cur   runState
 
 	// The full profile stage, nil unless the engine was built from it:
-	// the fault-free full-window profile, the def/use liveness map and
-	// the snapshot-time memory bytes the delta hash compares against.
+	// the fault-free full-window profile and the def/use liveness map.
 	nominal *nominalProfile
 	live    *Liveness
-	baseMem [][]byte
 
 	stats RunnerStats
 
@@ -282,13 +288,15 @@ func (e *Engine) step() {
 // runs the §3.2 protocol to the end of the observation window, calling
 // onInject (if non-nil) and flipping err's bit (if err is non-nil) at
 // every tick the schedule makes due, then stepping the system. Unless
-// full, it stops once the aircraft has been stopped for QuietWindowMs:
-// the failure verdict is frozen by the stop, and after the window no
-// assertion on either node raises a first violation anymore, so every
-// version's result and every probe slot is decided (the probe
-// equivalence suite re-verifies the slave's streams against full-window
-// literal runs).
+// full, or the period is too long for the quiet window to see both
+// phases of the re-applied flip, it stops once QuietWindowMs have passed
+// since the later of the stop and the first injection: the failure
+// verdict is frozen by the stop, and after the window no assertion on
+// either node raises a first violation anymore, so every version's
+// result and every probe slot is decided (the probe equivalence suite
+// re-verifies the slave's streams against full-window literal runs).
 func (e *Engine) simulate(err *Error, full bool, onInject func()) error {
+	quiet := !full && 2*e.policy.PeriodMs <= QuietWindowMs
 	for ms := e.policy.StartMs; ms < e.obs; ms++ {
 		if e.policy.due(ms) {
 			if onInject != nil {
@@ -304,7 +312,7 @@ func (e *Engine) simulate(err *Error, full bool, onInject func()) error {
 			}
 		}
 		e.step()
-		if stopMs, stopped := e.sys.Env().Stopped(); !full && stopped && ms-(stopMs-1) >= QuietWindowMs {
+		if stopMs, stopped := e.sys.Env().Stopped(); quiet && stopped && ms-max(stopMs-1, e.policy.StartMs) >= QuietWindowMs {
 			break
 		}
 	}
@@ -416,20 +424,11 @@ func (e *Engine) pruned(err Error) bool {
 // the mask the periodic schedule keeps toggling. Two errors with equal
 // hashes corrupt the snapshot into the same state and re-corrupt it on
 // the same schedule, so their runs are the same run; the MemoRunner and
-// the Probe key their outcome memos on it. It needs the full profile
-// stage's snapshot-time memory bytes.
+// the Probe key their outcome memos on it.
 func (e *Engine) deltaHash(err Error) (uint64, error) {
-	var base byte
-	found := false
-	for i, spec := range e.mem.Regions() {
-		if err.Addr >= spec.Base && uint32(err.Addr) < spec.End() {
-			base = e.baseMem[i][err.Addr-spec.Base]
-			found = true
-			break
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("inject: memo hash: address 0x%04x outside every region", err.Addr)
+	base, berr := e.mem.ImageByteAt(&e.base.Master.Mem, err.Addr)
+	if berr != nil {
+		return 0, fmt.Errorf("inject: memo hash: %w", berr)
 	}
 	mask := byte(1) << err.Bit
 	const (
@@ -491,7 +490,7 @@ func (e *Engine) deriveFrom(st *runState, end *endState, v target.Version) RunRe
 	// Exit tick of the from-scratch loop.
 	exit := e.obs - 1
 	if first != never && settle != never {
-		if x := max64(first, settle); x < exit {
+		if x := max(first, settle); x < exit {
 			exit = x
 		}
 	}
@@ -575,11 +574,4 @@ func (e *Engine) takeBT() map[core.TestID]int {
 		return m
 	}
 	return make(map[core.TestID]int, 4)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -19,24 +19,57 @@ const engineObsMs = 16000
 // results derived from one all-assertions profile run are identical,
 // field by field, to from-scratch inject.Run executions — including the
 // early-exit-truncated detection counts, injections and plant readouts.
+// Besides the paper schedule it covers a first injection after the
+// aircraft has stopped (late-start) and a period too long for the quiet
+// window to see both phases of the re-applied flip (long-period).
 func TestEngineMatchesRun(t *testing.T) {
 	tc := physics.TestCase{MassKg: 14000, VelocityMS: 55}
-	versions := target.Versions()
-	cfg := RunConfig{TestCase: tc, Seed: 12345, ObservationMs: engineObsMs}
+	t.Run("paper", func(t *testing.T) {
+		var errs []Error
+		for i, e := range BuildE1() {
+			if i%7 == 3 {
+				errs = append(errs, e)
+			}
+		}
+		errs = append(errs, BuildE2(E2Spec{RAM: 6, Stack: 4}, 99)...)
+		testEngineMatchesRun(t, RunConfig{TestCase: tc, Seed: 12345, ObservationMs: engineObsMs}, errs)
+	})
+	for _, c := range []struct {
+		name   string
+		policy Policy
+	}{
+		{"late-start", Policy{StartMs: 15000, PeriodMs: 20}},
+		{"long-period", Policy{StartMs: 500, PeriodMs: 5000}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := RunConfig{TestCase: tc, Seed: 12345, ObservationMs: lateObsMs, Policy: c.policy}
+			testEngineMatchesRun(t, cfg, lateErrors())
+		})
+	}
+}
 
+// lateObsMs is the window of the late-start and long-period protocols:
+// it holds the fourth 5000 ms injection and 5 s after a 15 s start.
+const lateObsMs = 20000
+
+// lateErrors is a few E1 errors for the late-start and long-period
+// protocols, some of which only the injections after the stop detect.
+func lateErrors() []Error {
+	var errs []Error
+	for i, e := range BuildE1() {
+		if i%8 == 5 {
+			errs = append(errs, e)
+		}
+	}
+	return errs
+}
+
+func testEngineMatchesRun(t *testing.T, cfg RunConfig, errs []Error) {
+	versions := target.Versions()
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-
-	var errs []Error
-	for i, e := range BuildE1() {
-		if i%7 == 3 {
-			errs = append(errs, e)
-		}
-	}
-	errs = append(errs, BuildE2(E2Spec{RAM: 6, Stack: 4}, 99)...)
-
 	out := make([]RunResult, len(versions))
 	for _, e := range errs {
 		if err := eng.RunError(e, versions, out); err != nil {

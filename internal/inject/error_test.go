@@ -47,7 +47,9 @@ func TestBuildE1CoversEveryBit(t *testing.T) {
 		wordAddr := uint16(target.RAMBase + 2*sigIdx)
 		seen := map[uint16]bool{}
 		for _, e := range BuildE1()[sigIdx*16 : sigIdx*16+16] {
-			mem.Zero()
+			if err := mem.WriteU16(wordAddr, 0); err != nil {
+				t.Fatal(err)
+			}
 			if err := e.Apply(mem); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}

@@ -45,35 +45,17 @@ import (
 // live even if the corruption would have cancelled out, which only
 // costs pruning opportunity, never correctness.
 type Liveness struct {
-	regions []memory.RegionSpec
-	base    uint16 // first tracked address
-	pending []bool // per byte of the span: injected-and-not-yet-stored
-	live    []bool // per byte of the span: read while pending
+	mem     *memory.Memory // layout only: which addresses are mapped
+	base    uint16         // first address of the memory's span
+	pending []bool         // per byte of the span: injected-and-not-yet-stored
+	live    []bool         // per byte of the span: read while pending
 }
 
-// NewLiveness builds the pass for the given region layout (usually
-// Memory.Regions() of the node under injection).
-func NewLiveness(regions []memory.RegionSpec) *Liveness {
-	if len(regions) == 0 {
-		return &Liveness{}
-	}
-	lo := regions[0].Base
-	hi := regions[0].End()
-	for _, r := range regions[1:] {
-		if r.Base < lo {
-			lo = r.Base
-		}
-		if r.End() > hi {
-			hi = r.End()
-		}
-	}
-	span := int(hi) - int(lo)
-	return &Liveness{
-		regions: append([]memory.RegionSpec(nil), regions...),
-		base:    lo,
-		pending: make([]bool, span),
-		live:    make([]bool, span),
-	}
+// NewLiveness builds the pass over the span of m, the memory of the
+// node under injection.
+func NewLiveness(m *memory.Memory) *Liveness {
+	base, size := m.Span()
+	return &Liveness{mem: m, base: base, pending: make([]bool, size), live: make([]bool, size)}
 }
 
 // MarkInjection marks an injection epoch: every byte becomes pending
@@ -84,13 +66,11 @@ func (l *Liveness) MarkInjection() {
 	}
 }
 
-// OnAccess implements memory.AccessSink.
+// OnAccess implements memory.AccessSink. The memory reports only
+// accesses to mapped bytes, so every byte lies in the span.
 func (l *Liveness) OnAccess(addr uint16, n int, write bool) {
 	for i := 0; i < n; i++ {
 		a := int(addr) + i - int(l.base)
-		if a < 0 || a >= len(l.pending) {
-			continue
-		}
 		if write {
 			l.pending[a] = false
 		} else if l.pending[a] {
@@ -100,17 +80,7 @@ func (l *Liveness) OnAccess(addr uint16, n int, write bool) {
 }
 
 // Live reports whether a fault at addr can influence the run. Addresses
-// outside the tracked regions are conservatively live.
+// outside every region are conservatively live.
 func (l *Liveness) Live(addr uint16) bool {
-	in := false
-	for _, r := range l.regions {
-		if addr >= r.Base && uint32(addr) < r.End() {
-			in = true
-			break
-		}
-	}
-	if !in {
-		return true
-	}
-	return l.live[addr-l.base]
+	return !l.mem.Mapped(addr) || l.live[addr-l.base]
 }

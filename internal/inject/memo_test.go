@@ -82,18 +82,22 @@ func TestBuildExhaustive(t *testing.T) {
 }
 
 // TestLivenessSemantics drives the pass by hand: only bytes read while
-// pending become live; stores clear pending; untracked addresses are
+// pending become live; stores clear pending; unmapped addresses are
 // conservatively live.
 func TestLivenessSemantics(t *testing.T) {
-	l := NewLiveness(nil) // no regions: everything conservative
-	if !l.Live(0x1234) {
-		t.Error("regionless liveness must report everything live")
+	mem, err := memory.New(
+		memory.RegionSpec{Name: "ram", Base: 0x100, Size: 64},
+		memory.RegionSpec{Name: "stack", Base: 0x400, Size: 64},
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	l = NewLiveness([]memory.RegionSpec{
-		{Name: "ram", Base: 0x100, Size: 64},
-		{Name: "stack", Base: 0x400, Size: 64},
-	})
+	l := NewLiveness(mem)
+	for _, addr := range []uint16{0x0000, 0x00FF, 0x0300, 0x0440, 0xFFFF} {
+		if !l.Live(addr) {
+			t.Errorf("unmapped address %#x must be conservatively live", addr)
+		}
+	}
 	l.MarkInjection()
 	l.OnAccess(0x100, 2, false) // read while pending -> live
 	l.OnAccess(0x110, 2, true)  // write clears pending
@@ -110,9 +114,6 @@ func TestLivenessSemantics(t *testing.T) {
 	}
 	if l.Live(0x120) {
 		t.Error("untouched byte must stay dead")
-	}
-	if !l.Live(0x300) {
-		t.Error("address in the region gap must be conservatively live")
 	}
 
 	// A later injection epoch re-arms pending: the byte written above
@@ -197,7 +198,7 @@ func testMemoRunnerMatchesEngine(t *testing.T, cfg RunConfig) {
 			live++
 		}
 	}
-	for _, r := range mr.eng.live.regions {
+	for _, r := range mr.eng.mem.Regions() {
 		tracked += int(r.Size)
 	}
 	if live == 0 || live == tracked {

@@ -52,19 +52,29 @@ func noisyConfig(policy Policy) RunConfig {
 // fresh dual-sink system simulated over the full window). This is what
 // certifies the quiet window for the slave's streams too. The noisy
 // cases fire in the fault-free run, after the first injection (start
-// 100 ms) and before it (the default start).
+// 100 ms) and before it (the default start). The late-start and
+// long-period cases inject after the aircraft has stopped: the first
+// injection at 15 s, and the fourth at 15.5 s on a 5000 ms period.
 func TestProbeModesMatchLiteral(t *testing.T) {
+	paper := RunConfig{
+		TestCase:      physics.TestCase{MassKg: 14000, VelocityMS: 55},
+		Seed:          12345,
+		ObservationMs: engineObsMs,
+	}
+	late := func(p Policy) RunConfig {
+		cfg := paper
+		cfg.ObservationMs, cfg.Policy = lateObsMs, p
+		return cfg
+	}
 	cases := []struct {
 		name string
 		cfg  RunConfig
 	}{
-		{"paper", RunConfig{
-			TestCase:      physics.TestCase{MassKg: 14000, VelocityMS: 55},
-			Seed:          12345,
-			ObservationMs: engineObsMs,
-		}},
+		{"paper", paper},
 		{"noisy-start100", noisyConfig(Policy{StartMs: 100, PeriodMs: 20})},
 		{"noisy-default", noisyConfig(Policy{})},
+		{"late-start", late(Policy{StartMs: 15000, PeriodMs: 20})},
+		{"long-period", late(Policy{StartMs: 500, PeriodMs: 5000})},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { testProbeModesMatchLiteral(t, c.cfg) })

@@ -20,13 +20,13 @@ import (
 //     starting point; without the cache a case split across N workers
 //     would simulate it N times);
 //   - optionally (the "full" stage) the full-observation-window nominal
-//     profile, the def/use liveness map and the snapshot-time memory
-//     bytes, which the memo runner and the memo probe use to prove
-//     dead-at-injection faults benign and to read their outcomes off
-//     the nominal run with zero simulation. Before the cache this
-//     was the single most expensive per-runner cost — a complete
-//     fault-free simulation of the whole window — and it is exactly
-//     what forced PR 6 to schedule each case as one indivisible batch.
+//     profile and the def/use liveness map, which the memo runner and
+//     the memo probe use to prove dead-at-injection faults benign and
+//     to read their outcomes off the nominal run with zero simulation.
+//     Before the cache this was the single most expensive per-runner
+//     cost — a complete fault-free simulation of the whole window — and
+//     it once forced the scheduler to run each case as one indivisible
+//     batch.
 //
 // A CaseProfile is immutable after construction. Engines built from it
 // via NewEngineFromProfile share its buffers read-only (Restore only
@@ -41,7 +41,6 @@ type CaseProfile struct {
 	// Full-stage fields; nil until the full profile is computed.
 	nominal *nominalProfile
 	live    *Liveness
-	baseMem [][]byte
 }
 
 // profileEntry is one cache slot. The two stages are guarded by
@@ -127,13 +126,12 @@ func (e *profileEntry) computePrefix(cfg RunConfig) error {
 // computeFull runs the stage-two full-window nominal profile with the
 // liveness pass armed, then drops the throwaway engine.
 func (e *profileEntry) computeFull() error {
-	live := NewLiveness(e.eng.mem.Regions())
+	live := NewLiveness(e.eng.mem)
 	if err := e.eng.ProfileNominal(live, live.MarkInjection); err != nil {
 		return err
 	}
 	e.p.nominal = e.eng.nominal
 	e.p.live = live
-	e.p.baseMem = e.eng.mem.Snapshot()
 	e.eng = nil
 	return nil
 }
@@ -166,7 +164,7 @@ func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
 		return nil, err
 	}
 	e.base, e.start = p.base, p.start
-	e.nominal, e.live, e.baseMem = p.nominal, p.live, p.baseMem
+	e.nominal, e.live = p.nominal, p.live
 	if err := e.rewind(); err != nil {
 		return nil, fmt.Errorf("inject: fast-forwarding from shared profile: %w", err)
 	}
@@ -174,11 +172,10 @@ func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
 }
 
 // NewMemoRunnerFromProfile builds a memo runner whose liveness map,
-// nominal profile and snapshot-time memory bytes all come from the
-// shared profile (full stage required) instead of a private
-// full-window simulation. shared, when non-nil, lets the runner
-// publish and consume memoized outcomes across the workers of the
-// case; pass nil for a private memo.
+// nominal profile and snapshot all come from the shared profile (full
+// stage required) instead of a private full-window simulation. shared,
+// when non-nil, lets the runner publish and consume memoized outcomes
+// across the workers of the case; pass nil for a private memo.
 func NewMemoRunnerFromProfile(p *CaseProfile, shared *SharedMemo) (*MemoRunner, error) {
 	if p.live == nil {
 		return nil, fmt.Errorf("inject: memo runner needs the full profile stage (ProfileCache.Get with full=true)")

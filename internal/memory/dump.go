@@ -9,21 +9,20 @@ import (
 // line with a region header, for debugging injected state and
 // post-mortem inspection of experiment runs (cmd/arrest -dump).
 func (m *Memory) Dump(w io.Writer) error {
-	for _, r := range m.regions {
+	for _, r := range m.specs {
 		if _, err := fmt.Fprintf(w, "region %q: 0x%04x..0x%04x (%d bytes)\n",
-			r.spec.Name, r.spec.Base, r.spec.End()-1, r.spec.Size); err != nil {
+			r.Name, r.Base, r.End()-1, r.Size); err != nil {
 			return err
 		}
-		for off := 0; off < len(r.data); off += 16 {
-			end := off + 16
-			if end > len(r.data) {
-				end = len(r.data)
-			}
-			if _, err := fmt.Fprintf(w, "  %04x:", int(r.spec.Base)+off); err != nil {
+		lo := int(r.Base) - int(m.base)
+		data := m.data[lo : lo+int(r.Size)]
+		for off := 0; off < len(data); off += 16 {
+			end := min(off+16, len(data))
+			if _, err := fmt.Fprintf(w, "  %04x:", int(r.Base)+off); err != nil {
 				return err
 			}
 			for i := off; i < end; i++ {
-				if _, err := fmt.Fprintf(w, " %02x", r.data[i]); err != nil {
+				if _, err := fmt.Fprintf(w, " %02x", data[i]); err != nil {
 					return err
 				}
 			}

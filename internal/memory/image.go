@@ -2,18 +2,16 @@ package memory
 
 import "fmt"
 
-// Image is a reusable point-in-time copy of a Memory's contents — the
-// paper's 417-byte application RAM and 1008-byte stack captured as one
-// flat buffer. Unlike Snapshot/Restore, which allocate per call, an
-// Image is captured into and restored from in place, so the
-// fast-forward engine's per-error restore performs no heap allocation:
-// the first Capture sizes the buffer, every later Capture and Restore
-// is a pair of copies.
+// Image is a reusable point-in-time copy of a Memory's contents: its
+// whole span, the paper's 417-byte application RAM and 1008-byte stack
+// and the gap between them, as one flat buffer. An Image is captured
+// into and restored from in place, so the fast-forward engine's
+// per-error restore performs no heap allocation: the first Capture
+// sizes the buffer, every later Capture and Restore is one copy.
 //
 // The zero value is ready for Capture.
 type Image struct {
-	data  []byte
-	sizes []int
+	data []byte
 }
 
 // Len returns the total number of captured bytes (zero before the
@@ -21,39 +19,26 @@ type Image struct {
 func (img *Image) Len() int { return len(img.data) }
 
 // Capture copies the full memory contents into the image, growing the
-// buffer only on first use (or when the region layout changed).
+// buffer only on first use (or when the span grew).
 func (m *Memory) Capture(img *Image) {
-	total := 0
-	for i := range m.regions {
-		total += len(m.regions[i].data)
-	}
-	if cap(img.data) < total {
-		img.data = make([]byte, total)
-		img.sizes = make([]int, len(m.regions))
-	}
-	img.data = img.data[:total]
-	img.sizes = img.sizes[:0]
-	off := 0
-	for i := range m.regions {
-		n := copy(img.data[off:], m.regions[i].data)
-		img.sizes = append(img.sizes, n)
-		off += n
-	}
+	img.data = append(img.data[:0], m.data...)
 }
 
 // RestoreImage copies a captured image back into the memory. The image
 // must come from a memory with the same region layout.
 func (m *Memory) RestoreImage(img *Image) error {
-	if len(img.sizes) != len(m.regions) {
-		return fmt.Errorf("memory: image has %d regions, memory has %d", len(img.sizes), len(m.regions))
+	if len(img.data) != len(m.data) {
+		return fmt.Errorf("memory: image holds %d bytes, memory spans %d", len(img.data), len(m.data))
 	}
-	off := 0
-	for i := range m.regions {
-		if img.sizes[i] != len(m.regions[i].data) {
-			return fmt.Errorf("memory: image region %d holds %d bytes, memory region holds %d",
-				i, img.sizes[i], len(m.regions[i].data))
-		}
-		off += copy(m.regions[i].data, img.data[off:off+img.sizes[i]])
-	}
+	copy(m.data, img.data)
 	return nil
+}
+
+// ImageByteAt returns the byte at addr in an image captured from m.
+func (m *Memory) ImageByteAt(img *Image, addr uint16) (byte, error) {
+	off := m.offset(addr, 1)
+	if off < 0 || off >= len(img.data) {
+		return 0, errRange(addr, 1)
+	}
+	return img.data[off], nil
 }

@@ -9,6 +9,7 @@
 package memory
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -40,15 +41,10 @@ var (
 	ErrBit = errors.New("memory: bit index out of range")
 )
 
-type region struct {
-	spec RegionSpec
-	data []byte
-}
-
 // AccessSink observes the target software's memory traffic: every read
 // and write the software performs through Memory or Var16 accessors.
 // The fault injector's own primitive (FlipBit) and the
-// checkpoint machinery (Snapshot, Capture, Restore*) are NOT reported —
+// checkpoint machinery (Capture, RestoreImage) are NOT reported —
 // they are the experiment apparatus, not data flow of the program under
 // test. The def/use liveness pass of internal/inject uses the sink to
 // prove which injected bit-flips are dead or overwritten before their
@@ -60,13 +56,20 @@ type AccessSink interface {
 	OnAccess(addr uint16, n int, write bool)
 }
 
-// Memory is a set of non-overlapping byte regions. The zero value is
-// unusable; construct with New. Memory is not safe for concurrent use;
-// each experiment run owns its own instance.
+// Memory is a set of non-overlapping byte regions in one flat 16-bit
+// address space, like the paper's microcontroller. One byte array backs
+// the span from the lowest region base to the highest region end, and
+// a per-byte tag marks the region each byte belongs to (0 for the gaps
+// between regions), so resolving an access is one bounds-and-tag check.
+// The zero value is unusable; construct with New. Memory is not safe
+// for concurrent use; each experiment run owns its own instance.
 type Memory struct {
-	regions []region
-	sink    AccessSink
-	traced  bool // sink != nil, the one field Var16's accessors test
+	specs  []RegionSpec // sorted by base address
+	base   uint16       // address of data[0]
+	data   []byte       // the span
+	tag    []uint8      // per byte of the span: its region's tag, 0 in a gap
+	sink   AccessSink
+	traced bool // sink != nil, the one field Var16's accessors test
 }
 
 // SetAccessSink arms (or, with nil, disarms) the access sink. While
@@ -78,9 +81,8 @@ func (m *Memory) SetAccessSink(s AccessSink) {
 	m.traced = s != nil
 }
 
-// report hands one Var16 access to the armed sink. It stays out of
-// line so that the accessors' untraced path remains small enough to
-// inline.
+// report hands one access to the armed sink. It stays out of line so
+// that the accessors' untraced path remains small enough to inline.
 //
 //go:noinline
 func (m *Memory) report(addr uint16, n int, write bool) {
@@ -95,7 +97,6 @@ func New(specs ...RegionSpec) (*Memory, error) {
 	}
 	sorted := append([]RegionSpec(nil), specs...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Base < sorted[b].Base })
-	m := &Memory{regions: make([]region, 0, len(sorted))}
 	for i, s := range sorted {
 		if s.Size == 0 {
 			return nil, fmt.Errorf("%w: %q", ErrEmptyRegion, s.Name)
@@ -106,75 +107,88 @@ func New(specs ...RegionSpec) (*Memory, error) {
 		if i > 0 && uint32(s.Base) < sorted[i-1].End() {
 			return nil, fmt.Errorf("%w: %q and %q", ErrOverlap, sorted[i-1].Name, s.Name)
 		}
-		m.regions = append(m.regions, region{spec: s, data: make([]byte, s.Size)})
+	}
+	base := sorted[0].Base
+	span := int(sorted[len(sorted)-1].End()) - int(base)
+	m := &Memory{specs: sorted, base: base, data: make([]byte, span), tag: make([]uint8, span)}
+	for i, s := range sorted {
+		// Only adjacent regions must differ in tag, and no region may
+		// carry the gap's 0.
+		lo := int(s.Base) - int(base)
+		tag := m.tag[lo : lo+int(s.Size)]
+		for j := range tag {
+			tag[j] = uint8(1 + i%255)
+		}
 	}
 	return m, nil
 }
 
-// find resolves addr to its region and offset.
-func (m *Memory) find(addr uint16) (*region, uint16, error) {
-	for i := range m.regions {
-		r := &m.regions[i]
-		if addr >= r.spec.Base && uint32(addr) < r.spec.End() {
-			return r, addr - r.spec.Base, nil
-		}
+// offset resolves the n-byte access (n is 1 or 2) at addr to its offset
+// in the span, or -1 unless every byte lies inside one region: an
+// unmapped byte, a word that crosses a region end and a word that
+// crosses into an adjacent region are all rejected.
+func (m *Memory) offset(addr uint16, n int) int {
+	off := int(addr) - int(m.base)
+	if off < 0 || off+n > len(m.tag) || m.tag[off] == 0 || m.tag[off+n-1] != m.tag[off] {
+		return -1
 	}
-	return nil, 0, fmt.Errorf("%w: 0x%04x", ErrOutOfRange, addr)
+	return off
+}
+
+// errRange reports an n-byte access at addr that offset rejected.
+func errRange(addr uint16, n int) error {
+	return fmt.Errorf("%w: %d-byte access at 0x%04x", ErrOutOfRange, n, addr)
 }
 
 // Regions returns the region specifications sorted by base address.
 func (m *Memory) Regions() []RegionSpec {
-	out := make([]RegionSpec, len(m.regions))
-	for i, r := range m.regions {
-		out[i] = r.spec
-	}
-	return out
+	return append([]RegionSpec(nil), m.specs...)
 }
+
+// Span returns the first address of the lowest region and the number of
+// bytes from there to the end of the highest region, gaps included.
+func (m *Memory) Span() (base uint16, size int) { return m.base, len(m.data) }
+
+// Mapped reports whether addr lies inside a region.
+func (m *Memory) Mapped(addr uint16) bool { return m.offset(addr, 1) >= 0 }
 
 // SetByteAt stores b at addr.
 func (m *Memory) SetByteAt(addr uint16, b byte) error {
-	r, off, err := m.find(addr)
-	if err != nil {
-		return err
+	off := m.offset(addr, 1)
+	if off < 0 {
+		return errRange(addr, 1)
 	}
-	if m.sink != nil {
-		m.sink.OnAccess(addr, 1, true)
+	if m.traced {
+		m.report(addr, 1, true)
 	}
-	r.data[off] = b
+	m.data[off] = b
 	return nil
 }
 
 // ReadU16 returns the big-endian 16-bit word at addr. Both bytes must
 // lie inside one region.
 func (m *Memory) ReadU16(addr uint16) (uint16, error) {
-	r, off, err := m.find(addr)
-	if err != nil {
-		return 0, err
+	off := m.offset(addr, 2)
+	if off < 0 {
+		return 0, errRange(addr, 2)
 	}
-	if uint32(off)+1 >= uint32(len(r.data)) {
-		return 0, fmt.Errorf("%w: word at 0x%04x crosses region end", ErrOutOfRange, addr)
+	if m.traced {
+		m.report(addr, 2, false)
 	}
-	if m.sink != nil {
-		m.sink.OnAccess(addr, 2, false)
-	}
-	return uint16(r.data[off])<<8 | uint16(r.data[off+1]), nil
+	return binary.BigEndian.Uint16(m.data[off:]), nil
 }
 
 // WriteU16 stores v big-endian at addr. Both bytes must lie inside one
 // region.
 func (m *Memory) WriteU16(addr uint16, v uint16) error {
-	r, off, err := m.find(addr)
-	if err != nil {
-		return err
+	off := m.offset(addr, 2)
+	if off < 0 {
+		return errRange(addr, 2)
 	}
-	if uint32(off)+1 >= uint32(len(r.data)) {
-		return fmt.Errorf("%w: word at 0x%04x crosses region end", ErrOutOfRange, addr)
+	if m.traced {
+		m.report(addr, 2, true)
 	}
-	if m.sink != nil {
-		m.sink.OnAccess(addr, 2, true)
-	}
-	r.data[off] = byte(v >> 8)
-	r.data[off+1] = byte(v)
+	binary.BigEndian.PutUint16(m.data[off:], v)
 	return nil
 }
 
@@ -185,53 +199,10 @@ func (m *Memory) FlipBit(addr uint16, bit uint8) error {
 	if bit > 7 {
 		return fmt.Errorf("%w: %d", ErrBit, bit)
 	}
-	r, off, err := m.find(addr)
-	if err != nil {
-		return err
+	off := m.offset(addr, 1)
+	if off < 0 {
+		return errRange(addr, 1)
 	}
-	r.data[off] ^= 1 << bit
+	m.data[off] ^= 1 << bit
 	return nil
-}
-
-// Zero clears every region to all-zero bytes.
-func (m *Memory) Zero() {
-	for i := range m.regions {
-		for j := range m.regions[i].data {
-			m.regions[i].data[j] = 0
-		}
-	}
-}
-
-// Snapshot copies the full memory contents for later Restore.
-func (m *Memory) Snapshot() [][]byte {
-	out := make([][]byte, len(m.regions))
-	for i, r := range m.regions {
-		out[i] = append([]byte(nil), r.data...)
-	}
-	return out
-}
-
-// Restore copies a Snapshot back. The snapshot must come from a memory
-// with the same region layout.
-func (m *Memory) Restore(snap [][]byte) error {
-	if len(snap) != len(m.regions) {
-		return fmt.Errorf("memory: snapshot has %d regions, memory has %d", len(snap), len(m.regions))
-	}
-	for i := range m.regions {
-		if len(snap[i]) != len(m.regions[i].data) {
-			return fmt.Errorf("memory: snapshot region %d size mismatch", i)
-		}
-		copy(m.regions[i].data, snap[i])
-	}
-	return nil
-}
-
-// bytesFor exposes a region's backing slice to Var16 for fast bound
-// accessors.
-func (m *Memory) bytesFor(addr uint16) ([]byte, uint16, error) {
-	r, off, err := m.find(addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r.data, off, nil
 }

@@ -22,11 +22,11 @@ func twoRegions(t *testing.T) *Memory {
 // byteAt reads the byte at addr, which must be mapped, without
 // reporting the read to the access sink.
 func byteAt(m *Memory, addr uint16) byte {
-	r, off, err := m.find(addr)
-	if err != nil {
-		panic(err)
+	off := m.offset(addr, 1)
+	if off < 0 {
+		panic(errRange(addr, 1))
 	}
-	return r.data[off]
+	return m.data[off]
 }
 
 func TestNewValidation(t *testing.T) {
@@ -118,17 +118,15 @@ func TestFlipBit(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
+func TestImageRestore(t *testing.T) {
 	m := twoRegions(t)
 	m.WriteU16(0, 0x1234)
 	m.WriteU16(0x4000, 0x5678)
-	snap := m.Snapshot()
+	var img Image
+	m.Capture(&img)
 	m.WriteU16(0, 0xFFFF)
-	m.Zero()
-	if v, _ := m.ReadU16(0x4000); v != 0 {
-		t.Fatal("Zero did not clear")
-	}
-	if err := m.Restore(snap); err != nil {
+	m.WriteU16(0x4000, 0)
+	if err := m.RestoreImage(&img); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := m.ReadU16(0); v != 0x1234 {
@@ -137,11 +135,18 @@ func TestSnapshotRestore(t *testing.T) {
 	if v, _ := m.ReadU16(0x4000); v != 0x5678 {
 		t.Errorf("restored stack word = %#x", v)
 	}
-	if err := m.Restore([][]byte{{1}}); err == nil {
-		t.Error("mismatched snapshot accepted")
+	if b, err := m.ImageByteAt(&img, 0x4001); err != nil || b != 0x78 {
+		t.Errorf("ImageByteAt(0x4001) = (%#x, %v), want 0x78", b, err)
 	}
-	if err := m.Restore([][]byte{{1}, {2}}); err == nil {
-		t.Error("mismatched region size accepted")
+	if _, err := m.ImageByteAt(&img, 417); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("ImageByteAt in the gap = %v, want ErrOutOfRange", err)
+	}
+	other, err := New(RegionSpec{Name: "ram", Base: 0, Size: 417})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.RestoreImage(&img); err == nil {
+		t.Error("image of another layout accepted")
 	}
 }
 

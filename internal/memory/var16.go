@@ -11,13 +11,13 @@ import (
 // software immediately and software writes overwrite injected
 // corruption exactly as on the real target.
 //
-// The binding points straight at the word's two bytes in the region's
-// backing store, and the untraced path of Get and Set is one flag test
+// The binding points straight at the word's two bytes in the memory's
+// backing span, and the untraced path of Get and Set is one flag test
 // and a two-byte load or store, small enough for the compiler to inline
 // (CI checks that it does). The accessor cost is the ledger's
 // memory.var16_get_ns and memory.var16_set_ns.
 type Var16 struct {
-	w    *[2]byte // the bound word inside its region's backing store
+	w    *[2]byte // the bound word inside the memory's backing span
 	mem  *Memory  // owner, consulted for the armed access sink
 	addr uint16
 }
@@ -25,14 +25,11 @@ type Var16 struct {
 // Bind creates a Var16 for the big-endian word at addr. Both bytes
 // must lie inside one region.
 func Bind(m *Memory, name string, addr uint16) (Var16, error) {
-	buf, off, err := m.bytesFor(addr)
-	if err != nil {
-		return Var16{}, fmt.Errorf("memory: binding %q: %w", name, err)
+	off := m.offset(addr, 2)
+	if off < 0 {
+		return Var16{}, fmt.Errorf("memory: binding %q: %w", name, errRange(addr, 2))
 	}
-	if int(off)+1 >= len(buf) {
-		return Var16{}, fmt.Errorf("memory: binding %q: word at 0x%04x crosses region end", name, addr)
-	}
-	return Var16{w: (*[2]byte)(buf[off : off+2]), mem: m, addr: addr}, nil
+	return Var16{w: (*[2]byte)(m.data[off : off+2]), mem: m, addr: addr}, nil
 }
 
 // MustBind is Bind for statically known layouts; it panics on error.
