@@ -338,7 +338,7 @@ func run(args []string) error {
 		began := time.Now()
 		nErrors := 200
 		if cfg.Exhaustive {
-			nErrors = len(easig.BuildExhaustive())
+			nErrors = inject.ExhaustiveSize
 		}
 		fmt.Fprintf(os.Stderr, "fic: running %s (%d errors x %d cases)...\n",
 			map[bool]string{true: "exhaustive E2", false: "E2"}[cfg.Exhaustive], nErrors, *grid**grid)

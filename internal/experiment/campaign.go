@@ -279,15 +279,15 @@ func record(exp string, o outcome, seed int64) journal.Record {
 
 // replay converts a journaled record back into the outcome the
 // aggregators would have collected live. Only the aggregated fields
-// (detected/failed/latency/ByTest) round-trip; plant readouts do not,
-// which is fine because no table consumes them.
-func replay(j job, rec journal.Record) outcome {
+// (detected/failed/latency and, when byTest is set, ByTest) round-trip;
+// plant readouts do not, which is fine because no table consumes them.
+func replay(j job, rec *journal.Record, byTest bool) outcome {
 	res := inject.RunResult{
 		Detected:  rec.Detected,
 		Failed:    rec.Failed,
 		LatencyMs: rec.LatencyMs,
 	}
-	if len(rec.ByTest) > 0 {
+	if byTest && len(rec.ByTest) > 0 {
 		res.ByTest = make(map[core.TestID]int, len(rec.ByTest))
 		for id, n := range rec.ByTest {
 			res.ByTest[core.TestID(id)] = n
@@ -298,13 +298,14 @@ func replay(j job, rec journal.Record) outcome {
 
 // partition splits the campaign jobs into journaled outcomes, replayed
 // straight into collect in job order, and live jobs still to dispatch;
-// it returns the live jobs and the number replayed. It enforces the
-// resume soundness checks: the journal's header must match the live
-// header h — protocol AND resolved runner mode (journal.Log.CheckResume)
-// — and every replayed record's stored seed must equal the seed
-// re-derived from the run coordinates. On error the collected outcomes
-// are partial and the caller discards them.
-func partition(cfg Config, h journal.Header, jobs []job, collect func(outcome)) (live []job, replayed int, err error) {
+// it returns the live jobs and the number replayed. Replayed outcomes
+// carry ByTest only when byTest is set, for collectors that read it. It
+// enforces the resume soundness checks: the journal's header must match
+// the live header h — protocol AND resolved runner mode
+// (journal.Log.CheckResume) — and every replayed record's stored seed
+// must equal the seed re-derived from the run coordinates. On error the
+// collected outcomes are partial and the caller discards them.
+func partition(cfg Config, h journal.Header, jobs []job, byTest bool, collect func(outcome)) (live []job, replayed int, err error) {
 	if cfg.Resume == nil {
 		return jobs, 0, nil
 	}
@@ -327,7 +328,7 @@ func partition(cfg Config, h journal.Header, jobs []job, collect func(outcome)) 
 			return nil, 0, fmt.Errorf("experiment: journaled %s run %s case %d has seed %d, want %d — journal is from a different campaign",
 				exp, j.err.ID, j.caseIdx, rec.Seed, want)
 		}
-		collect(replay(j, rec))
+		collect(replay(j, rec, byTest))
 		replayed++
 	}
 	return live, replayed, nil
@@ -580,7 +581,7 @@ func RunE1(cfg Config) (*E1Result, error) {
 		res.Runs++
 	}
 	h := cfg.header(ExperimentE1, mode.String(), len(jobs))
-	live, replayed, err := partition(cfg, h, jobs, collect)
+	live, replayed, err := partition(cfg, h, jobs, true, collect)
 	if err != nil {
 		return nil, err
 	}
@@ -677,7 +678,7 @@ func RunE2(cfg Config) (*E2Result, error) {
 		res.Runs++
 	}
 	h := cfg.header(exp, mode.String(), len(jobs))
-	live, replayed, err := partition(cfg, h, jobs, collect)
+	live, replayed, err := partition(cfg, h, jobs, false, collect)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func equivalenceConfig(seed int64, journalPath string, mode inject.Mode) (Config
 
 // loadRecords returns the journal's per-run records keyed by
 // coordinates.
-func loadRecords(t *testing.T, path, exp string) map[journal.Key]journal.Record {
+func loadRecords(t *testing.T, path, exp string) map[journal.Key]*journal.Record {
 	t.Helper()
 	log, err := journal.Load(path)
 	if err != nil {
@@ -50,7 +50,7 @@ func loadRecords(t *testing.T, path, exp string) map[journal.Key]journal.Record 
 }
 
 // diffRecords compares two journal record sets field by field.
-func diffRecords(t *testing.T, mode string, got, want map[journal.Key]journal.Record) {
+func diffRecords(t *testing.T, mode string, got, want map[journal.Key]*journal.Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: journal has %d records, literal reference %d", mode, len(got), len(want))
@@ -81,7 +81,7 @@ func diffRecords(t *testing.T, mode string, got, want map[journal.Key]journal.Re
 type matrixRow struct {
 	mode    inject.Mode
 	tables  []string
-	records map[journal.Key]journal.Record
+	records map[journal.Key]*journal.Record
 }
 
 func runMatrix(t *testing.T, seed int64, exp string,

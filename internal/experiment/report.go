@@ -99,7 +99,7 @@ func (TextFormat) Render(w io.Writer, r *Results) error {
 		if r.Spec.Exhaustive {
 			cov, _, _ := r.E2.Total()
 			fmt.Fprintf(w, "Measured Pdetect over the full fault space (%d positions x %d cases): %.2f%%\n",
-				len(inject.BuildExhaustive()), cases, cov.All.Percent())
+				inject.ExhaustiveSize, cases, cov.All.Percent())
 		}
 	}
 	if r.E1 != nil || r.E2 != nil {

@@ -70,7 +70,7 @@ func (s Spec) errorCount(exp string) (int, error) {
 		}
 		return e2.RAM + e2.Stack, nil
 	case ExperimentExhaustive:
-		return len(inject.BuildExhaustive()), nil
+		return inject.ExhaustiveSize, nil
 	default:
 		return 0, fmt.Errorf("experiment: unknown experiment %q", exp)
 	}

@@ -92,6 +92,10 @@ func BuildE1() []Error {
 	return out
 }
 
+// ExhaustiveSize is the number of errors BuildExhaustive builds, for
+// callers that only count them.
+const ExhaustiveSize = 8 * (target.RAMSize + target.StackSize)
+
 // BuildExhaustive builds the full E2-style fault space: one bit-flip
 // error per (byte, bit) position of the application RAM and the stack,
 // 8×(417+1008) = 11,400 errors. Where the paper (and BuildE2) samples
@@ -100,7 +104,7 @@ func BuildE1() []Error {
 // Errors are ordered region-major, then address, then bit, with stable
 // IDs "R0x%04x.%d" (RAM) and "K0x%04x.%d" (stack).
 func BuildExhaustive() []Error {
-	out := make([]Error, 0, 8*(target.RAMSize+target.StackSize))
+	out := make([]Error, 0, ExhaustiveSize)
 	for off := 0; off < target.RAMSize; off++ {
 		addr := uint16(target.RAMBase + off)
 		for bit := uint8(0); bit < 8; bit++ {

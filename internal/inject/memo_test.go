@@ -48,6 +48,14 @@ func TestModeResolve(t *testing.T) {
 	}
 }
 
+// TestExhaustiveSize checks the count that callers use instead of
+// building the fault space against the space BuildExhaustive builds.
+func TestExhaustiveSize(t *testing.T) {
+	if n := len(BuildExhaustive()); ExhaustiveSize != n {
+		t.Errorf("ExhaustiveSize = %d, len(BuildExhaustive()) = %d", ExhaustiveSize, n)
+	}
+}
+
 // TestBuildExhaustive checks the full fault space: 8 bit positions per
 // byte of RAM and stack, in region/address/bit order, unique IDs.
 func TestBuildExhaustive(t *testing.T) {

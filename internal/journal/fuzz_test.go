@@ -17,10 +17,13 @@ import (
 
 // FuzzRead checks the one-pass Read against readTwoPass, the two-pass
 // reader it replaced: for any bytes both return equal logs, or both
-// return an error. The corpus covers the writers' own line shapes and
-// the lines that must leave the prefix fast path: reordered keys, a
+// return an error. The corpus covers the writers' own line shapes, the
+// lines that must leave the prefix fast path (reordered keys, a
 // duplicate "kind" key, a mid-line cut, blank lines and a mistyped
-// final line.
+// final line) and the run lines the run-line decoder must leave to
+// encoding/json: a leading zero, a "+1" map key, an out-of-range int,
+// '<' in err_id, invalid UTF-8, "detected":false, trailing spaces, a
+// duplicate by_test key, an unknown trailing key and an empty by_test.
 func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, gotErr := Read(bytes.NewReader(data))

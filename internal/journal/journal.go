@@ -13,11 +13,13 @@
 // killed campaign leaves at most one truncated trailing line — which
 // Load tolerates.
 //
-// Replay is one pass. Read decodes each line once, straight off the
-// scanner and without copying it, into the type its leading "kind" key
-// names; a campaign then streams the loaded records into its
-// aggregators (experiment.partition) without an intermediate outcome
-// list, before any live run is dispatched.
+// Replay is one pass. Read decodes each line straight off the scanner
+// and without copying it, into the type its leading "kind" key names. A
+// run line of exactly the shape the writer emits is read by a
+// shape-exact decoder without reflection; every other line is
+// unmarshalled by encoding/json. A campaign then streams the loaded
+// records into its aggregators (experiment.partition) without an
+// intermediate outcome list, before any live run is dispatched.
 //
 // Resume soundness rests on the determinism contract documented in
 // ARCHITECTURE.md: every per-run seed is a pure function of the
@@ -335,13 +337,15 @@ func Load(path string) (*Log, error) {
 // on local disk. Semantics match Load: a malformed final line is
 // dropped and flagged Truncated, a malformed interior line is an error.
 //
-// Lines are decoded one at a time, straight off the scanner, and each
-// is unmarshalled once: every writer emits "kind" as its first key, so
-// the kind is read off the line's {"kind":"…" prefix and the line goes
-// straight into that kind's type. A line that does not start with its
-// kind, or whose decode fails or names another kind (a duplicate "kind"
-// key, where the last one wins), takes the general path instead:
-// unmarshal "kind" alone, then the record it names.
+// Lines are decoded one at a time, straight off the scanner: every
+// writer emits "kind" as its first key, so the kind is read off the
+// line's {"kind":"…" prefix and the line goes straight into that kind's
+// type. A run line in the exact shape Writer.Run emits is decoded
+// without reflection (decodeRun); any other line is unmarshalled once
+// by encoding/json. A line that does not start with its kind, or whose
+// decode fails or names another kind (a duplicate "kind" key, where the
+// last one wins), takes the general path instead: unmarshal "kind"
+// alone, then the record it names.
 func Read(r io.Reader) (*Log, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -423,9 +427,18 @@ func (l *Log) decode(kind string, line []byte, want string) error {
 		}
 		l.Headers = append(l.Headers, h)
 	case KindRun:
-		var r Record
-		if err := unmarshalKind(line, &r, &r.Kind, want); err != nil {
-			return err
+		var prevExp string
+		if len(l.Runs) > 0 {
+			prevExp = l.Runs[len(l.Runs)-1].Experiment
+		}
+		r, ok := decodeRun(line, prevExp)
+		if !ok {
+			// Decoding into u, not r, keeps r off the heap.
+			var u Record
+			if err := unmarshalKind(line, &u, &u.Kind, want); err != nil {
+				return err
+			}
+			r = u
 		}
 		if l.Runs == nil && len(l.Headers) > 0 {
 			l.Runs = make([]Record, 0, min(max(l.Headers[0].Total, 1), maxPresizedRuns))
@@ -513,13 +526,13 @@ func (l *Log) Cost(experiment string) (Cost, bool) {
 	return Cost{}, false
 }
 
-// Lookup indexes the named experiment's runs by their coordinates; when
-// a run appears twice (a journal resumed more than once) the last
-// occurrence wins.
-func (l *Log) Lookup(experiment string) map[Key]Record {
-	out := make(map[Key]Record, len(l.Runs))
-	for _, r := range l.Runs {
-		if r.Experiment == experiment {
+// Lookup indexes the named experiment's runs by their coordinates,
+// pointing into Runs rather than copying them; when a run appears twice
+// (a journal resumed more than once) the last occurrence wins.
+func (l *Log) Lookup(experiment string) map[Key]*Record {
+	out := make(map[Key]*Record, len(l.Runs))
+	for i := range l.Runs {
+		if r := &l.Runs[i]; r.Experiment == experiment {
 			out[r.Key()] = r
 		}
 	}

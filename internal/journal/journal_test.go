@@ -166,7 +166,7 @@ func TestOpenAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := log.Lookup("E1")[Key{ErrIdx: 2}]; !r.Detected {
+	if r := log.Lookup("E1")[Key{ErrIdx: 2}]; r == nil || !r.Detected {
 		t.Error("Lookup did not prefer the later duplicate")
 	}
 }
@@ -296,7 +296,7 @@ func TestMergeShardJournals(t *testing.T) {
 		if len(byKey) != 4 {
 			t.Errorf("%s: merged lookup has %d unique runs, want 4", name, len(byKey))
 		}
-		if r := byKey[Key{Version: 8, ErrIdx: 0, CaseIdx: 0}]; !r.Detected {
+		if r := byKey[Key{Version: 8, ErrIdx: 0, CaseIdx: 0}]; r == nil || !r.Detected {
 			t.Errorf("%s: duplicate run lost its payload: %+v", name, r)
 		}
 	}
