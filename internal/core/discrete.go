@@ -20,13 +20,17 @@ type Discrete struct {
 	// for linear signals by NewLinear.
 	Trans map[int64][]int64
 
-	// keys is D in ascending order and next[i] is T(keys[i]): the
-	// lookup index of constructor-built sets (see indexed). Lookups
-	// scan them linearly, O(|D|) each; the largest domain monitored
-	// here, the scheduler slot number 0..6, has 7 values, where a scan
-	// beats both a hash lookup and a binary search.
-	keys []int64
-	next [][]int64
+	// The dense index of constructor-built sets whose span, from the
+	// smallest to the largest value of D, holds at most 64 values (see
+	// indexed): bit v-lo of dom is set for v ∈ D, and next[d-lo] is
+	// T(d) as a bit set over the same span (nil for random sets). A
+	// domain test is then one subtraction and one shift. Wide spans and
+	// hand-built literals carry no index (dense false) and scan Domain
+	// and Trans.
+	dense bool
+	lo    int64
+	dom   uint64
+	next  []uint64
 }
 
 // Errors returned by Discrete.Validate; match with errors.Is.
@@ -109,64 +113,65 @@ func (p Discrete) Validate(class Class) error {
 	return nil
 }
 
-// Contains reports whether v is an element of the valid domain D.
-// Parameter sets from the constructors (and those stored in monitors)
-// carry a sorted index; hand-built literals fall back to a scan of
-// Domain.
-func (p Discrete) Contains(v int64) bool { return p.contains(v) }
-
-// Allows reports whether the transition from prev to v is an element of
-// T(prev). Unknown prev values (e.g. after corruption of the stored
-// previous value) allow no transitions.
-func (p Discrete) Allows(prev, v int64) bool { return p.allows(prev, v) }
-
-// contains is Contains without the copy of p; the monitor's per-tick
-// tests call it through a pointer to the active parameter set.
+// contains reports whether v is an element of the valid domain D. The
+// monitor's per-tick tests call it through a pointer to the active
+// parameter set. The dense index needs no range check:
+// uint64(v)-uint64(lo) is v's offset in the span, a v below lo wraps to
+// an offset of at least the span's width (its top, lo+width-1, is at
+// most MaxInt64), and dom and next[d] have no bit at or past the width
+// (a shift by 64 or more yields zero).
 func (p *Discrete) contains(v int64) bool {
-	if p.keys == nil {
+	if !p.dense {
 		return slices.Contains(p.Domain, v)
 	}
-	return p.find(v) >= 0
+	return p.dom>>(uint64(v)-uint64(p.lo))&1 != 0
 }
 
-// allows is Allows without the copy of p.
+// allows reports whether the transition from prev to v is an element
+// of T(prev). Unknown prev values (e.g. after corruption of the stored
+// previous value) allow no transitions.
 func (p *Discrete) allows(prev, v int64) bool {
-	if p.keys == nil {
+	if !p.dense {
 		return slices.Contains(p.Trans[prev], v)
 	}
-	i := p.find(prev)
-	return i >= 0 && slices.Contains(p.next[i], v)
+	d := uint64(prev) - uint64(p.lo)
+	return d < uint64(len(p.next)) && p.next[d]>>(uint64(v)-uint64(p.lo))&1 != 0
 }
 
-// find returns the index of v in keys, or -1, stopping the scan at the
-// first key not below v.
-func (p *Discrete) find(v int64) int {
-	for i, d := range p.keys {
-		if d >= v {
-			if d == v {
-				return i
-			}
-			break
-		}
-	}
-	return -1
-}
-
-// indexed returns a copy of p carrying the sorted index. Constructors
-// and monitors call it once at configuration time, so the amortized
-// cost of the index is nil. It answers exactly as Domain and Trans do
-// for every set that passes Validate: T(d) is only consulted for d in
-// D.
+// indexed returns a copy of p carrying the dense index, or p itself
+// when its span is wider than 64 values or some T(d) target lies
+// outside it. Constructors and monitors call it once at configuration
+// time, and copies of an indexed set share the index. It answers
+// exactly as Domain and Trans do for every set that passes Validate:
+// T(d) is only consulted for d in D.
 func (p Discrete) indexed() Discrete {
-	if p.keys != nil || len(p.Domain) == 0 {
+	if p.dense || len(p.Domain) == 0 {
 		return p
 	}
-	p.keys = slices.Clone(p.Domain)
-	slices.Sort(p.keys)
-	p.next = make([][]int64, len(p.keys))
-	for i, d := range p.keys {
-		p.next[i] = p.Trans[d]
+	lo, hi := slices.Min(p.Domain), slices.Max(p.Domain)
+	width := uint64(hi) - uint64(lo) + 1 // exact: hi >= lo
+	if width == 0 || width > 64 {        // width 0: the span wrapped the whole int64 range
+		return p
 	}
+	// off is v's offset in the span, at least width for every v outside
+	// it (see contains).
+	off := func(v int64) uint64 { return uint64(v) - uint64(lo) }
+	for _, d := range p.Domain {
+		p.dom |= 1 << off(d)
+	}
+	if p.Trans != nil {
+		p.next = make([]uint64, width)
+		for _, d := range p.Domain {
+			for _, t := range p.Trans[d] {
+				if off(t) >= width {
+					p.next, p.dom = nil, 0
+					return p
+				}
+				p.next[off(d)] |= 1 << off(t)
+			}
+		}
+	}
+	p.lo, p.dense = lo, true
 	return p
 }
 

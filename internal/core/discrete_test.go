@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -88,14 +89,14 @@ func TestNewLinear(t *testing.T) {
 	})
 	t.Run("acyclic with stay", func(t *testing.T) {
 		p := NewLinear([]int64{5, 7}, false, true)
-		if !p.Allows(5, 7) || !p.Allows(5, 5) || !p.Allows(7, 7) {
+		if !p.allows(5, 7) || !p.allows(5, 5) || !p.allows(7, 7) {
 			t.Error("expected successor and self transitions to be allowed")
 		}
-		if p.Allows(7, 5) {
+		if p.allows(7, 5) {
 			t.Error("reverse transition must not be allowed")
 		}
 		// The last value of an acyclic chain has no successor.
-		if p.Allows(7, 5) || len(p.Trans[7]) != 1 {
+		if p.allows(7, 5) || len(p.Trans[7]) != 1 {
 			t.Errorf("T(7) = %v, want only {7}", p.Trans[7])
 		}
 	})
@@ -109,11 +110,40 @@ func TestNewLinear(t *testing.T) {
 
 func TestDiscreteContainsAllows(t *testing.T) {
 	p := NewLinear([]int64{10, 20, 30}, true, false)
-	if !p.Contains(20) || p.Contains(21) {
+	if !p.contains(20) || p.contains(21) {
 		t.Error("Contains misclassifies domain membership")
 	}
-	if !p.Allows(10, 20) || p.Allows(10, 30) || p.Allows(99, 10) {
+	if !p.allows(10, 20) || p.allows(10, 30) || p.allows(99, 10) {
 		t.Error("Allows misclassifies transitions")
+	}
+}
+
+// TestDiscreteIndexInt64Edges pins the dense index at the ends of the
+// int64 range, where v-lo overflows: a value far below a span near
+// MaxInt64 must not wrap into it, and a span covering the whole range
+// wraps its width to zero and keeps the literal scan.
+func TestDiscreteIndexInt64Edges(t *testing.T) {
+	for _, domain := range [][]int64{
+		{math.MaxInt64 - 1, math.MaxInt64},
+		{math.MinInt64, math.MinInt64 + 63},
+		{math.MinInt64, math.MaxInt64},
+		{-1, 62},
+	} {
+		p := NewLinear(domain, true, true)
+		if p.dense != spanFits(domain) {
+			t.Errorf("%v: dense index %v, want %v", domain, p.dense, spanFits(domain))
+		}
+		probes := append([]int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1, 0, -1, 63}, domain...)
+		for _, a := range probes {
+			if got, want := p.contains(a), defContains(p, a); got != want {
+				t.Errorf("%v: Contains(%d) = %v, want %v", domain, a, got, want)
+			}
+			for _, b := range probes {
+				if got, want := p.allows(a, b), defAllows(p, a, b); got != want {
+					t.Errorf("%v: Allows(%d, %d) = %v, want %v", domain, a, b, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -134,7 +164,7 @@ func TestNewRandomCopiesDomain(t *testing.T) {
 	domain := []int64{1, 2, 3}
 	p := NewRandom(domain)
 	domain[0] = 99
-	if !p.Contains(1) || p.Contains(99) {
+	if !p.contains(1) || p.contains(99) {
 		t.Error("NewRandom must copy the domain slice")
 	}
 }

@@ -26,9 +26,10 @@
 //     rules of Table 1;
 //   - CheckContinuous and CheckDiscrete, the assertion algorithms of
 //     Tables 2 and 3;
-//   - Monitor, a stateful per-signal tester that remembers the previous
-//     value s', dispatches per-mode parameters, reports violations to a
-//     DetectionSink (the paper's "digital output pin") and applies a
+//   - Monitor, a stateful per-signal tester that judges against the
+//     previous value s' (held by the caller of Check, or by the monitor
+//     for Test), dispatches per-mode parameters, reports violations to
+//     a DetectionSink (the paper's "digital output pin") and applies a
 //     RecoveryPolicy ("the signal can be returned to a valid state",
 //     paper §2);
 //   - ContinuousCalibrator, which derives parameter proposals from

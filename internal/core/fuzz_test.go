@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -77,24 +78,28 @@ func FuzzMonitor(f *testing.F) {
 	})
 }
 
-// FuzzDiscreteIndex checks that the sorted index of a Discrete answers
+// FuzzDiscreteIndex checks that the dense index of a Discrete answers
 // Contains, Allows and CheckDiscrete exactly as Table 3's definitions
 // read straight off Domain and Trans, for hand-built sets, the
-// constructors' sets and a monitor's active set. The seed corpus is in
-// testdata/fuzz/FuzzDiscreteIndex.
+// constructors' sets and a monitor's active set, and that exactly the
+// sets whose span holds at most 64 values carry the index. The seed
+// corpus in testdata/fuzz/FuzzDiscreteIndex covers negative values,
+// spans of 64 and 65, sparse domains on either side of that bound,
+// empty T(d) and previous values outside D, inside and outside the
+// span.
 func FuzzDiscreteIndex(f *testing.F) {
 	f.Fuzz(checkDiscreteIndex)
 }
 
 // discreteFromBytes decodes a parameter set: up to eight distinct
-// domain values from big-endian int16 pairs of domain, scaled by 37 so
-// that domains come out unsorted, negative and sparse, and for each
-// domain value a bit mask from trans selecting T(d) among the domain
-// values (a zero mask leaves d without a T(d) entry).
-func discreteFromBytes(domain, trans []byte, sequential bool) Discrete {
+// domain values from big-endian int16 pairs of domain, times step, so
+// that domains come out unsorted, negative and dense or sparse, and
+// for each domain value a bit mask from trans selecting T(d) among the
+// domain values (a zero mask gives d an empty T(d)).
+func discreteFromBytes(domain, trans []byte, step uint8, sequential bool) Discrete {
 	var p Discrete
 	for i := 0; i+1 < len(domain) && len(p.Domain) < 8; i += 2 {
-		v := int64(int16(binary.BigEndian.Uint16(domain[i:]))) * 37
+		v := int64(int16(binary.BigEndian.Uint16(domain[i:]))) * int64(step)
 		if !defContains(p, v) {
 			p.Domain = append(p.Domain, v)
 		}
@@ -105,6 +110,7 @@ func discreteFromBytes(domain, trans []byte, sequential bool) Discrete {
 	p.Trans = make(map[int64][]int64)
 	for i, d := range p.Domain {
 		mask := trans[i%len(trans)]
+		p.Trans[d] = nil
 		for j, dst := range p.Domain {
 			if mask&(1<<j) != 0 {
 				p.Trans[d] = append(p.Trans[d], dst)
@@ -112,6 +118,16 @@ func discreteFromBytes(domain, trans []byte, sequential bool) Discrete {
 		}
 	}
 	return p
+}
+
+// spanFits reports whether D's span, from its smallest to its largest
+// value, holds at most 64 values: the sets the dense index covers.
+func spanFits(domain []int64) bool {
+	if len(domain) == 0 {
+		return false
+	}
+	width := uint64(slices.Max(domain)) - uint64(slices.Min(domain)) + 1
+	return width != 0 && width <= 64
 }
 
 // defContains and defAllows are Table 3's s ∈ D and s ∈ T(s'), read
@@ -134,8 +150,8 @@ func defAllows(p Discrete, prev, v int64) bool {
 	return false
 }
 
-func checkDiscreteIndex(t *testing.T, domain, trans []byte, sequential bool, prev, s int64) {
-	p := discreteFromBytes(domain, trans, sequential)
+func checkDiscreteIndex(t *testing.T, domain, trans []byte, step uint8, sequential bool, prev, s int64) {
+	p := discreteFromBytes(domain, trans, step, sequential)
 	// Probe every domain value, its neighbours (mostly outside the
 	// sparse domain) and the fuzzed prev and s.
 	probes := []int64{prev, s}
@@ -146,14 +162,17 @@ func checkDiscreteIndex(t *testing.T, domain, trans []byte, sequential bool, pre
 	if len(p.Domain) > 0 {
 		sets = append(sets, NewLinear(p.Domain, sequential, len(trans)%2 == 1))
 	}
-	for _, q := range sets {
+	for i, q := range sets {
 		def := Discrete{Domain: q.Domain, Trans: q.Trans}
+		if want := i > 0 && spanFits(q.Domain); q.dense != want {
+			t.Fatalf("%v (set %d): dense index %v, want %v", def, i, q.dense, want)
+		}
 		for _, a := range probes {
-			if got, want := q.Contains(a), defContains(def, a); got != want {
+			if got, want := q.contains(a), defContains(def, a); got != want {
 				t.Fatalf("%v: Contains(%d) = %v, want %v", def, a, got, want)
 			}
 			for _, b := range probes {
-				if got, want := q.Allows(a, b), defAllows(def, a, b); got != want {
+				if got, want := q.allows(a, b), defAllows(def, a, b); got != want {
 					t.Fatalf("%v: Allows(%d, %d) = %v, want %v", def, a, b, got, want)
 				}
 				id, ok := CheckDiscrete(q, sequential, a, b)

@@ -4,44 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sync/atomic"
 )
-
-// PrevStore abstracts where a monitor keeps the previous accepted
-// value s'. The default store is a plain struct field; the experiment
-// target instead binds s' to a word of its injectable RAM, because on
-// the real system the assertion state lives in the same memory the
-// fault injector corrupts (a corrupted s' can cause false or missed
-// detections — a genuine property of the mechanisms).
-type PrevStore interface {
-	// LoadPrev returns the stored previous value.
-	LoadPrev() int64
-	// StorePrev records the accepted (or recovered) value.
-	StorePrev(int64)
-}
-
-// fieldStore is the default in-struct PrevStore.
-type fieldStore struct{ v int64 }
-
-func (s *fieldStore) LoadPrev() int64   { return s.v }
-func (s *fieldStore) StorePrev(v int64) { s.v = v }
 
 // Monitor is a stateful executable-assertion tester for one signal: the
 // paper's "generic test algorithms that are instantiated with
-// parameters" (§6). It remembers the previous accepted value s',
-// selects the parameter set of the current signal mode, runs the
-// Table 2/Table 3 assertions on every observation, reports violations
-// to the configured DetectionSink and applies the configured
-// RecoveryPolicy.
+// parameters" (§6). It selects the parameter set of the current signal
+// mode, runs the Table 2/Table 3 assertions on every observation,
+// reports violations to the configured DetectionSink and applies the
+// configured RecoveryPolicy.
 //
-// Monitor is not safe for concurrent use; in the target system each
-// monitor is owned by the module at its test location (paper Table 4),
-// and in the stream service each monitor is owned by its stream's
-// shard goroutine. The one concession to observers: the test and
-// violation counters are maintained atomically, so Tests, Violations
-// and Suite.Stats may be read concurrently while a single driving
-// goroutine calls Test (the stream service's metrics endpoint reads
-// them live).
+// The previous accepted value s' is held by the caller of Check: the
+// experiment target keeps it in a word of the node's injectable RAM,
+// because on the real system the assertion state lives in the same
+// memory the fault injector corrupts (a corrupted s' can cause false or
+// missed detections — a genuine property of the mechanisms). Test is
+// Check with s' kept in the monitor itself.
+//
+// Monitor is not safe for concurrent use, counters included: in the
+// target system each monitor is owned by the module at its test
+// location (paper Table 4), and in the stream service each monitor is
+// owned by its stream's shard goroutine, which also answers the stats
+// requests for it.
 //
 // Reuse contract (the stream service recycles monitor instances across
 // reconnecting streams): Reset clears the previous-value state s' and
@@ -56,28 +39,29 @@ type Monitor struct {
 
 	cont map[int]Continuous
 	disc map[int]Discrete
-	// pc or pd holds the active mode's parameter set, re-read by
-	// resolve whenever the mode or its set changes, so Test needs no
-	// map lookup.
-	pc Continuous
-	pd Discrete
+	// pc or pd holds the active mode's parameter set and same the
+	// verdict of Table 2's s = s' group under pc, all re-read by
+	// resolve whenever the mode or its set changes, so Check needs no
+	// map lookup and no per-test classification.
+	pc   Continuous
+	pd   Discrete
+	same TestID
+	seq  bool // the class is sequential: Check runs s ∈ T(s')
 
 	mode     int
-	prev     PrevStore
+	prev     int64 // s' of Test; callers of Check hold their own
 	primed   bool
 	recovery RecoveryPolicy
 	sink     DetectionSink
 
-	// tests and violations are read via atomic loads by concurrent
-	// stats readers; only the driving goroutine writes them.
 	tests      uint64
 	violations uint64
 
-	// scratch is the reused violation record handed out by Test. Keeping
-	// it in the monitor instead of on the stack keeps the per-tick hot
-	// path of the fault-injection campaigns free of heap allocations
-	// even while an injected error violates the assertions on every
-	// control cycle.
+	// scratch is the reused violation record handed out by Check.
+	// Keeping it in the monitor instead of on the stack keeps the
+	// per-tick hot path of the fault-injection campaigns free of heap
+	// allocations even while an injected error violates the assertions
+	// on every control cycle.
 	scratch Violation
 }
 
@@ -110,16 +94,6 @@ func WithInitialMode(mode int) MonitorOption {
 	return func(m *Monitor) { m.mode = mode }
 }
 
-// WithPrevStore replaces the default in-struct storage of the previous
-// value s'. A nil store keeps the default.
-func WithPrevStore(s PrevStore) MonitorOption {
-	return func(m *Monitor) {
-		if s != nil {
-			m.prev = s
-		}
-	}
-}
-
 // NewContinuous builds a monitor for a continuous signal with one
 // parameter set per mode. Every set must be a legal instantiation of
 // class per Table 1. The sets are copied, so later changes to the
@@ -137,7 +111,6 @@ func NewContinuous(name string, class Class, modes map[int]Continuous, opts ...M
 		name:     name,
 		class:    class,
 		cont:     maps.Clone(modes),
-		prev:     &fieldStore{},
 		recovery: PreviousValue{},
 	}
 	for _, opt := range opts {
@@ -173,7 +146,7 @@ func NewDiscrete(name string, class Class, modes map[int]Discrete, opts ...Monit
 		name:     name,
 		class:    class,
 		disc:     store,
-		prev:     &fieldStore{},
+		seq:      class.IsSequential(),
 		recovery: PreviousValue{},
 	}
 	for _, opt := range opts {
@@ -197,13 +170,12 @@ func (m *Monitor) Name() string { return m.name }
 // Class returns the signal classification.
 func (m *Monitor) Class() Class { return m.class }
 
-// Tests returns the number of Test calls since construction. It is
-// safe to call concurrently with the driving goroutine's Test calls.
-func (m *Monitor) Tests() uint64 { return atomic.LoadUint64(&m.tests) }
+// Tests returns the number of tests (Check or Test calls) since
+// construction.
+func (m *Monitor) Tests() uint64 { return m.tests }
 
-// Violations returns the number of failed tests since construction. It
-// is safe to call concurrently with the driving goroutine's Test calls.
-func (m *Monitor) Violations() uint64 { return atomic.LoadUint64(&m.violations) }
+// Violations returns the number of failed tests since construction.
+func (m *Monitor) Violations() uint64 { return m.violations }
 
 // SetMode switches the active parameter set ("a signal with several
 // modes has one parameter set for each mode", paper §2.1). Switching
@@ -222,12 +194,15 @@ func (m *Monitor) SetMode(mode int) error {
 	return nil
 }
 
-// resolve re-reads the active mode's parameter set into pc or pd. A
-// mode without a set (RestoreState does not validate) resolves to the
+// resolve re-reads the active mode's parameter set into pc or pd and
+// compiles what Check derives from it: Table 2's verdict for s = s'.
+// (A discrete set's index is built once, when the monitor stores it.)
+// A mode without a set (RestoreState does not validate) resolves to the
 // zero set, exactly as the per-test map lookup it replaces did.
 func (m *Monitor) resolve() {
 	if m.cont != nil {
 		m.pc = m.cont[m.mode]
+		m.same = sameVerdict(&m.pc)
 	} else {
 		m.pd = m.disc[m.mode]
 	}
@@ -236,48 +211,58 @@ func (m *Monitor) resolve() {
 // Reset clears the previous-value state so the next observation primes
 // the monitor again. Experiment runs call Reset between arrestments.
 func (m *Monitor) Reset() {
-	m.prev.StorePrev(0)
+	m.prev = 0
 	m.primed = false
 }
 
 // Test subjects one observation of the signal to the executable
-// assertions. now is the caller's timestamp (milliseconds in the target
-// system). It returns the accepted value — the observation itself when
-// the assertions pass, or the recovery policy's replacement after a
+// assertions, with the previous accepted value s' kept in the monitor.
+// now is the caller's timestamp (milliseconds in the target system). It
+// returns the accepted value — the observation itself when the
+// assertions pass, or the recovery policy's replacement after a
 // violation — and the violation, if any. The returned Violation points
-// into storage reused by the next Test call; copy the struct to retain
-// it (DetectionSinks receive their own copy).
+// into storage reused by the next test; copy the struct to retain it
+// (DetectionSinks receive their own copy).
 //
 // The very first observation has no previous value s'; only the tests
 // that are independent of s' run (bounds for continuous signals, domain
 // membership for discrete ones).
 func (m *Monitor) Test(now, s int64) (int64, *Violation) {
-	atomic.AddUint64(&m.tests, 1)
-	prev := m.prev.LoadPrev()
-	var (
-		id TestID
-		ok bool
-	)
-	if m.cont != nil {
-		if m.primed {
-			id, ok = checkContinuous(&m.pc, prev, s)
-		} else {
-			id, ok = checkBounds(&m.pc, s)
-		}
-	} else {
-		if m.primed {
-			id, ok = checkDiscrete(&m.pd, m.class.IsSequential(), prev, s)
-		} else {
-			id, ok = checkDiscreteDomain(&m.pd, s)
-		}
-	}
-	if ok {
-		m.prev.StorePrev(s)
-		m.primed = true
-		return s, nil
-	}
+	accepted, v := m.Check(now, m.prev, s)
+	m.prev = accepted
+	return accepted, v
+}
 
-	atomic.AddUint64(&m.violations, 1)
+// Check is Test with s' held by the caller: it judges s against prev
+// and returns what the caller must store as its next s' — s itself, or
+// the recovery policy's replacement after a violation. Until the
+// monitor is primed (its first Check, or the first after Reset) prev is
+// not consulted.
+func (m *Monitor) Check(now, prev, s int64) (int64, *Violation) {
+	m.tests++
+	var id TestID
+	switch {
+	case m.cont == nil:
+		id = judgeDiscrete(&m.pd, m.seq && m.primed, prev, s)
+	case m.primed:
+		id = judgeContinuous(&m.pc, m.same, prev, s)
+	default:
+		id = judgeBounds(&m.pc, s)
+	}
+	if id != 0 {
+		return m.violate(now, prev, s, id)
+	}
+	m.primed = true
+	return s, nil
+}
+
+// violate is Check's violation path: count, report, recover. It stays
+// out of line so that the passing path, taken on all but a handful of
+// a campaign's tests, carries none of it.
+//
+//go:noinline
+func (m *Monitor) violate(now, prev, s int64, id TestID) (int64, *Violation) {
+	m.violations++
 	m.scratch = Violation{
 		Signal:  m.name,
 		Test:    id,
@@ -296,7 +281,6 @@ func (m *Monitor) Test(now, s int64) (int64, *Violation) {
 	} else {
 		recovered = m.recovery.RecoverDiscrete(m.scratch, m.pd)
 	}
-	m.prev.StorePrev(recovered)
 	m.primed = true
 	return recovered, &m.scratch
 }

@@ -197,26 +197,27 @@ func TestMonitorCounters(t *testing.T) {
 	}
 }
 
-// customStore is a PrevStore with externally visible state.
-type customStore struct{ v int64 }
-
-func (s *customStore) LoadPrev() int64   { return s.v }
-func (s *customStore) StorePrev(x int64) { s.v = x }
-
-func TestMonitorPrevStore(t *testing.T) {
+// TestMonitorCheckCallerPrev pins that Check judges against the s' its
+// caller holds, not the monitor's own: the mechanism the target uses to
+// keep s' in injectable RAM, where a corrupted s' changes the verdict.
+func TestMonitorCheckCallerPrev(t *testing.T) {
 	p := Continuous{Min: 0, Max: 100, Incr: Rate{0, 5}, Decr: Rate{0, 5}}
-	store := &customStore{}
-	m := mustContinuousMonitor(t, p, WithPrevStore(store))
-	m.Test(0, 42)
-	if store.v != 42 {
-		t.Fatalf("store holds %d, want 42", store.v)
+	m := mustContinuousMonitor(t, p)
+	prev, _ := m.Check(0, 0, 42)
+	if prev != 42 {
+		t.Fatalf("Check accepted %d, want 42", prev)
 	}
-	// Corrupting the external store changes what the monitor compares
-	// against — the mechanism the target uses to keep s' in injectable
-	// RAM.
-	store.v = 90
-	if _, v := m.Test(1, 44); v == nil {
-		t.Fatal("jump from corrupted s'=90 to 44 not flagged")
+	if next, v := m.Check(1, prev, 44); v != nil || next != 44 {
+		t.Fatalf("44 after s'=42 judged (%d, %v), want accepted", next, v)
+	}
+	// Corrupting the caller's s' changes what the monitor compares
+	// against.
+	if _, v := m.Check(2, 90, 44); v == nil || v.Prev != 90 {
+		t.Fatalf("jump from corrupted s'=90 to 44 judged %v, want a violation against 90", v)
+	}
+	// Test keeps its own s', which Check never wrote: still 0.
+	if _, v := m.Test(3, 44); v == nil || v.Prev != 0 {
+		t.Fatalf("Test judged 44 as %v, want a violation against its own s'=0", v)
 	}
 }
 
@@ -230,10 +231,11 @@ func TestRecorderReset(t *testing.T) {
 }
 
 // TestMonitorModeCache pins that Test judges by the active mode's
-// current parameter set after every way the mode or its set can change:
-// SetMode, RestoreState to another mode and UpdateContinuous of the
-// active mode. The monitor resolves the set once per change instead of
-// once per Test, so a missed refresh would judge by stale parameters.
+// current parameter set, and by the s = s' verdict compiled from it,
+// after every way the mode or its set can change: SetMode, RestoreState
+// to another mode and UpdateContinuous of the active mode. The monitor
+// resolves the set once per change instead of once per Test, so a
+// missed refresh would judge by stale parameters.
 func TestMonitorModeCache(t *testing.T) {
 	tight := Continuous{Min: 0, Max: 10, Incr: Rate{0, 100}, Decr: Rate{0, 100}}
 	wide := Continuous{Min: 0, Max: 100, Incr: Rate{0, 100}, Decr: Rate{0, 100}}
@@ -287,6 +289,54 @@ func TestMonitorModeCache(t *testing.T) {
 	}
 	if !judge() {
 		t.Fatal("UpdateContinuous of active mode 0: still judged by the old set")
+	}
+
+	// The s = s' verdict is compiled with the set: a dynamic counter
+	// whose minimum increase is 1 must change on every test, one whose
+	// minimum is 0 may hold (Table 2 test 4c).
+	must := Continuous{Min: 0, Max: 100, Incr: Rate{1, 5}}
+	may := Continuous{Min: 0, Max: 100, Incr: Rate{0, 5}}
+	c, err := NewContinuous("cnt", ContinuousMonotonicDynamic, map[int]Continuous{0: must, 1: may},
+		WithRecovery(NoRecovery{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds := func() bool {
+		c.Reset()
+		c.Test(0, 10)
+		_, v := c.Test(1, 10)
+		return v == nil
+	}
+	if holds() {
+		t.Fatal("mode 0: unchanged value accepted with rmin,incr = 1")
+	}
+	if err := c.SetMode(1); err != nil {
+		t.Fatal(err)
+	}
+	if !holds() {
+		t.Fatal("SetMode(1): s = s' still judged by mode 0")
+	}
+	inMay := c.State()
+	if err := c.SetMode(0); err != nil {
+		t.Fatal(err)
+	}
+	if holds() {
+		t.Fatal("SetMode(0): s = s' still judged by mode 1")
+	}
+	c.RestoreState(inMay)
+	if !holds() {
+		t.Fatal("RestoreState to mode 1: s = s' still judged by mode 0")
+	}
+	inMay.Mode = 0
+	c.RestoreState(inMay)
+	if holds() {
+		t.Fatal("RestoreState to mode 0: s = s' still judged by mode 1")
+	}
+	if err := c.UpdateContinuous(0, may); err != nil {
+		t.Fatal(err)
+	}
+	if !holds() {
+		t.Fatal("UpdateContinuous of active mode 0: s = s' still judged by the old set")
 	}
 
 	d, err := NewDiscrete("slot", DiscreteRandom, map[int]Discrete{

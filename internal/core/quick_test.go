@@ -169,15 +169,15 @@ func TestQuickTransitionImpliesDomain(t *testing.T) {
 		p := NewLinear(domain, true, false)
 		prev := domain[int(prevIdx)%len(domain)]
 		s := domain[int(sIdx)%len(domain)]
-		if p.Allows(prev, s) && !p.Contains(s) {
+		if p.allows(prev, s) && !p.contains(s) {
 			return false
 		}
 		// And the full Table 3 chain agrees with the primitives.
 		id, ok := CheckDiscrete(p, true, prev, s)
-		if ok != (p.Contains(s) && p.Allows(prev, s)) {
+		if ok != (p.contains(s) && p.allows(prev, s)) {
 			return false
 		}
-		if !ok && !p.Contains(s) && id != TestDomain {
+		if !ok && !p.contains(s) && id != TestDomain {
 			return false
 		}
 		return true
@@ -282,14 +282,102 @@ func TestQuickCounterWrapProperty(t *testing.T) {
 	}
 }
 
-// The sorted Discrete index answers as Table 3's definitions over
-// random sets (FuzzDiscreteIndex explores further from its corpus).
+// The dense Discrete index answers as Table 3's definitions over random
+// sets (FuzzDiscreteIndex explores further from its corpus). Half the
+// sets are narrow: values in -32..31 times 1 or 2, so spans fall on
+// both sides of the index's 64-value bound, with prev and s near them.
 func TestQuickDiscreteIndex(t *testing.T) {
-	f := func(domain, trans []byte, sequential bool, prev, s int64) bool {
-		checkDiscreteIndex(t, domain, trans, sequential, prev, s)
+	f := func(domain, trans []byte, step uint8, narrow, sequential bool, prev, s int64) bool {
+		if narrow {
+			for i := 0; i+1 < len(domain); i += 2 {
+				v := int16(int8(domain[i+1]) >> 2)
+				domain[i], domain[i+1] = byte(uint16(v)>>8), byte(v)
+			}
+			step = 1 + step%2
+			prev, s = prev%80, s%80
+		}
+		checkDiscreteIndex(t, domain, trans, step, sequential, prev, s)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// defUnchanged is Table 2's s = s' row read straight off the
+// parameters: test 3c, 4c or 5c passes.
+func defUnchanged(p Continuous) bool {
+	incrZero := p.Incr.Min == 0 && p.Incr.Max == 0
+	decrZero := p.Decr.Min == 0 && p.Decr.Max == 0
+	return incrZero && p.Decr.Min == 0 || // 3c
+		decrZero && p.Incr.Min == 0 || // 4c
+		!incrZero && !decrZero && (p.Incr.Min == 0 || p.Decr.Min == 0) // 5c
+}
+
+// The s = s' verdict a monitor compiles from its active set, and the
+// one CheckContinuous reaches, equal Table 2's row over random legal
+// sets of every continuous class: both a zero and a non-zero rmin on
+// either side, so the row both passes and fails for dynamic and random
+// signals (a static one must always change).
+func TestQuickSameVerdict(t *testing.T) {
+	seen := map[Class][2]bool{}
+	f := func(a, b, c, d uint8, up bool, v int16) bool {
+		rate := func(x, y uint8) Rate {
+			lo := int64(x % 3)
+			return Rate{Min: lo, Max: lo + int64(y%4)}
+		}
+		one, other := rate(a, b), rate(c, d)
+		sets := map[Class]Continuous{}
+		static, dynamic := Rate{Min: 1 + one.Min, Max: 1 + one.Min}, Rate{Min: one.Min, Max: one.Min + 1 + int64(b%4)}
+		random := Continuous{Incr: one, Decr: other}
+		if random.Incr.zero() {
+			random.Incr.Max = 1
+		}
+		if random.Decr.zero() {
+			random.Decr.Max = 1
+		}
+		if up {
+			sets[ContinuousMonotonicStatic] = Continuous{Incr: static}
+			sets[ContinuousMonotonicDynamic] = Continuous{Incr: dynamic}
+		} else {
+			sets[ContinuousMonotonicStatic] = Continuous{Decr: static}
+			sets[ContinuousMonotonicDynamic] = Continuous{Decr: dynamic}
+		}
+		sets[ContinuousRandom] = random
+		for class, p := range sets {
+			p.Min, p.Max = -1000, 1000
+			m, err := NewContinuousSingle("q", class, p, WithRecovery(NoRecovery{}))
+			if err != nil {
+				t.Errorf("generator built an illegal %v set %v: %v", class, p, err)
+				return false
+			}
+			s := int64(v) % 1000
+			want := TestUnchanged
+			if defUnchanged(p) {
+				want = 0
+			}
+			seen[class] = [2]bool{seen[class][0] || want == 0, seen[class][1] || want != 0}
+			if got, _ := CheckContinuous(p, s, s); m.same != want || got != want {
+				t.Errorf("%v %v: compiled s = s' verdict %v, CheckContinuous %v, Table 2 %v", class, p, m.same, got, want)
+				return false
+			}
+			m.Test(0, s)
+			if _, viol := m.Test(1, s); (viol == nil) != (want == 0) || (viol != nil && viol.Test != want) {
+				t.Errorf("%v %v: monitor judged %d -> %d as %v, want %v", class, p, s, s, viol, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if seen[ContinuousMonotonicStatic] != [2]bool{false, true} {
+		t.Errorf("static signals: the s = s' row passed/failed = %v, want only failures", seen[ContinuousMonotonicStatic])
+	}
+	for _, class := range []Class{ContinuousMonotonicDynamic, ContinuousRandom} {
+		if seen[class] != [2]bool{true, true} {
+			t.Errorf("%v: the s = s' row passed/failed = %v; the generator misses a case", class, seen[class])
+		}
 	}
 }

@@ -50,7 +50,7 @@ func (PreviousValue) RecoverContinuous(v Violation, p Continuous) int64 {
 
 // RecoverDiscrete implements RecoveryPolicy.
 func (PreviousValue) RecoverDiscrete(v Violation, p Discrete) int64 {
-	if v.HasPrev && p.Contains(v.Prev) {
+	if v.HasPrev && p.contains(v.Prev) {
 		return v.Prev
 	}
 	if len(p.Domain) > 0 {

@@ -1,75 +1,6 @@
 package core
 
-import (
-	"sync"
-	"testing"
-)
-
-// TestSuiteStatsConcurrentWithTicking hammers Stats from several reader
-// goroutines while one goroutine keeps driving the suite's monitors —
-// the exact shape of the stream service, whose shard goroutines tick
-// live suites that the metrics endpoint snapshots. Run under -race (CI
-// does), this is the proof obligation for the concurrent-Stats
-// contract; without it the test still checks that snapshots are
-// monotonic and well-formed.
-func TestSuiteStatsConcurrentWithTicking(t *testing.T) {
-	s := suiteWithMonitors(t)
-	const ticks = 20000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < ticks; i++ {
-			// Mix accepted and violating observations on both monitors.
-			s.Test(int64(i), "temp", int64(i%120))
-			s.Test(int64(i), "mode", int64(i%4))
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var lastTests uint64
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				stats := s.Stats()
-				if len(stats) != 2 {
-					t.Errorf("Stats returned %d rows, want 2", len(stats))
-					return
-				}
-				var total uint64
-				for _, st := range stats {
-					if st.Violations > st.Tests {
-						t.Errorf("%s: violations %d > tests %d", st.Name, st.Violations, st.Tests)
-						return
-					}
-					total += st.Tests
-				}
-				if total < lastTests {
-					t.Errorf("total tests went backwards: %d -> %d", lastTests, total)
-					return
-				}
-				lastTests = total
-			}
-		}()
-	}
-	<-done
-	wg.Wait()
-
-	stats := s.Stats()
-	var total uint64
-	for _, st := range stats {
-		total += st.Tests
-	}
-	if total != 2*ticks {
-		t.Fatalf("final test count = %d, want %d", total, 2*ticks)
-	}
-}
+import "testing"
 
 // TestMonitorReuseAcrossSessions pins the reuse contract the stream
 // service depends on when a stream reconnects and its monitor

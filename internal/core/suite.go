@@ -15,11 +15,10 @@ import (
 // system to a safe state instead of reacting to every single
 // violation.
 //
-// Suite is not safe for concurrent mutation: one goroutine registers
-// the monitors and drives Test. The exception is Stats, which may be
-// called concurrently with the driving goroutine once registration is
-// complete — the stream service's metrics endpoint reads a live
-// suite's accounting while its shard goroutine keeps ticking it.
+// Suite is not safe for concurrent use: one goroutine registers the
+// monitors, drives Test and reads Stats. The stream service routes a
+// stats request to the shard goroutine that owns the suite, which
+// answers it between chunks.
 type Suite struct {
 	monitors map[string]*Monitor
 
@@ -143,26 +142,16 @@ type MonitorStats struct {
 }
 
 // Stats returns per-monitor accounting, sorted by name for stable
-// reports. It is safe to call concurrently with the goroutine driving
-// the suite's monitors: the registry is immutable once Add calls have
-// completed (registration must happen-before concurrent readers), a
-// monitor's name and class never change, and the counters are read
-// with atomic loads. A snapshot taken mid-tick may be a test ahead on
-// one monitor and behind on another; each counter is itself exact.
-// Violations are loaded before tests: Monitor.Test increments tests
-// first, and Go's atomics are sequentially consistent, so this order
-// keeps every snapshot at violations <= tests. The other order lets a
-// reader delayed between its two loads count violations of tests it
-// has not yet counted.
+// reports. Called by the goroutine that drives the suite, it is a
+// consistent snapshot: every counter stands between the same two tests.
 func (s *Suite) Stats() []MonitorStats {
 	out := make([]MonitorStats, 0, len(s.monitors))
 	for _, m := range s.monitors {
-		violations := m.Violations()
 		out = append(out, MonitorStats{
 			Name:       m.Name(),
 			Class:      m.Class(),
 			Tests:      m.Tests(),
-			Violations: violations,
+			Violations: m.Violations(),
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })

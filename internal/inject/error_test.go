@@ -44,16 +44,14 @@ func TestBuildE1CoversEveryBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for sigIdx := 0; sigIdx < target.NumEAs; sigIdx++ {
-		wordAddr := uint16(target.RAMBase + 2*sigIdx)
+		word := memory.MustBind(mem, "sig", uint16(target.RAMBase+2*sigIdx))
 		seen := map[uint16]bool{}
 		for _, e := range BuildE1()[sigIdx*16 : sigIdx*16+16] {
-			if err := mem.WriteU16(wordAddr, 0); err != nil {
-				t.Fatal(err)
-			}
+			word.Set(0)
 			if err := e.Apply(mem); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			w, _ := mem.ReadU16(wordAddr)
+			w := word.Get()
 			if w == 0 || w&(w-1) != 0 {
 				t.Fatalf("%s did not flip exactly one bit of its word (%#x)", e.ID, w)
 			}

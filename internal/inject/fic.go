@@ -48,7 +48,10 @@ const DefaultObservationMs = 40000
 type RunConfig struct {
 	// TestCase is the aircraft mass and engagement velocity.
 	TestCase physics.TestCase
-	// Version selects the enabled executable assertions.
+	// Version selects the enabled executable assertions, on the slave
+	// as on the master: a run builds both nodes alike (the uniform
+	// builds of target.SystemConfig), so under a recovery policy a
+	// version repairs only through its own assertions.
 	Version target.Version
 	// Error is the injected error; nil runs a fault-free golden run.
 	Error *Error
@@ -156,14 +159,15 @@ func Run(cfg RunConfig) (RunResult, error) {
 	}
 	pin := &pinSink{}
 	sys, err := target.NewSystem(target.SystemConfig{
-		Constants:  cfg.Constants,
-		ForceTable: cfg.ForceTable,
-		TestCase:   cfg.TestCase,
-		Seed:       cfg.Seed,
-		Version:    cfg.Version,
-		Sink:       pin,
-		Recovery:   recovery,
-		Placement:  cfg.Placement,
+		Constants:    cfg.Constants,
+		ForceTable:   cfg.ForceTable,
+		TestCase:     cfg.TestCase,
+		Seed:         cfg.Seed,
+		Version:      cfg.Version,
+		SlaveVersion: cfg.Version,
+		Sink:         pin,
+		Recovery:     recovery,
+		Placement:    cfg.Placement,
 	})
 	if err != nil {
 		return RunResult{}, fmt.Errorf("inject: building system: %w", err)

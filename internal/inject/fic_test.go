@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"reflect"
 	"testing"
 
 	"easig/internal/core"
@@ -139,6 +140,38 @@ func TestRunRecoveryAblation(t *testing.T) {
 	}
 	if recovered.Failed {
 		t.Errorf("recovery run failed: %v", recovered.Failure)
+	}
+}
+
+// TestRunRecoveryUniformBuild pins that a run builds the slave with the
+// master's version: a version repairs only through its own assertions.
+// Under VersionNone no node has an assertion, so PreviousValue recovery
+// must leave the whole run exactly as detection-only leaves it. A slave
+// built with every assertion would repair the corrupt set point it
+// receives over the link and move the plant.
+func TestRunRecoveryUniformBuild(t *testing.T) {
+	var e Error
+	for _, cand := range BuildE1() {
+		if cand.Signal == target.SigSetValue && cand.Bit == 6 && cand.Addr%2 == 0 { // word bit 14
+			e = cand
+			break
+		}
+	}
+	cfg := RunConfig{
+		TestCase: physics.TestCase{MassKg: 8000, VelocityMS: 55},
+		Version:  target.VersionNone, Error: &e, Seed: 2, FullObservation: true,
+	}
+	detOnly, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recovery = core.PreviousValue{}
+	recovered, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recovered, detOnly) {
+		t.Errorf("recovery changed a run without assertions:\n got %+v\nwant %+v", recovered, detOnly)
 	}
 }
 

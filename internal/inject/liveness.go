@@ -35,12 +35,12 @@ import (
 //
 // The nominal all-assertions profile is a sound access superset for
 // every version build: a version's accesses are a subset of the
-// profile's (omitted monitors just skip their Test calls), and every
+// profile's (omitted monitors just skip their checks), and every
 // profile store with no counterpart in a reduced version — a monitor's
-// StorePrev or a recovery write-back — is preceded in the same call by
-// a load of the same byte (core.Monitor.Test calls LoadPrev before any
-// StorePrev; Node.test reads the signal before writing the recovery),
-// so removing the store cannot turn a dead byte live. The analysis is
+// s' store or a recovery write-back — is preceded in the same call by a
+// load of the same byte (Node.test loads the signal, then s', before
+// it stores the accepted value into s' and any recovery into the
+// signal), so removing the store cannot turn a dead byte live. The analysis is
 // conservative in the other direction too: a read-while-pending marks
 // live even if the corruption would have cancelled out, which only
 // costs pruning opportunity, never correctness.

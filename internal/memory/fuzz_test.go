@@ -206,15 +206,24 @@ func FuzzMemory(f *testing.F) {
 			switch op % 8 {
 			case 0:
 				sameErr(t, "SetByteAt", m.SetByteAt(addr, byte(v)), ref.setByte(addr, byte(v)))
-			case 1:
-				got, err := m.ReadU16(addr)
-				exp, rerr := ref.read(addr)
-				sameErr(t, "ReadU16", err, rerr)
-				if got != exp {
-					t.Fatalf("ReadU16(%#04x) = %#04x, reference %#04x", addr, got, exp)
+			case 1, 2:
+				x, ok := m.Word(addr)
+				_, _, rerr := ref.word(addr)
+				if ok != (rerr == nil) {
+					t.Fatalf("Word(%#04x): ok %v, reference %v", addr, ok, rerr)
 				}
-			case 2:
-				sameErr(t, "WriteU16", m.WriteU16(addr, v), ref.write(addr, v))
+				if !ok {
+					continue
+				}
+				if op%8 == 2 {
+					x.Set(v)
+					ref.write(addr, v)
+					continue
+				}
+				exp, _ := ref.read(addr)
+				if got := x.Get(); got != exp {
+					t.Fatalf("Word(%#04x).Get() = %#04x, reference %#04x", addr, got, exp)
+				}
 			case 3:
 				bit := uint8(v % 10)
 				sameErr(t, "FlipBit", m.FlipBit(addr, bit), ref.flip(addr, bit))

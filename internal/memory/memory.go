@@ -9,7 +9,6 @@
 package memory
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -162,33 +161,6 @@ func (m *Memory) SetByteAt(addr uint16, b byte) error {
 		m.report(addr, 1, true)
 	}
 	m.data[off] = b
-	return nil
-}
-
-// ReadU16 returns the big-endian 16-bit word at addr. Both bytes must
-// lie inside one region.
-func (m *Memory) ReadU16(addr uint16) (uint16, error) {
-	off := m.offset(addr, 2)
-	if off < 0 {
-		return 0, errRange(addr, 2)
-	}
-	if m.traced {
-		m.report(addr, 2, false)
-	}
-	return binary.BigEndian.Uint16(m.data[off:]), nil
-}
-
-// WriteU16 stores v big-endian at addr. Both bytes must lie inside one
-// region.
-func (m *Memory) WriteU16(addr uint16, v uint16) error {
-	off := m.offset(addr, 2)
-	if off < 0 {
-		return errRange(addr, 2)
-	}
-	if m.traced {
-		m.report(addr, 2, true)
-	}
-	binary.BigEndian.PutUint16(m.data[off:], v)
 	return nil
 }
 

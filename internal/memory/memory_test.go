@@ -81,23 +81,21 @@ func TestByteAccess(t *testing.T) {
 
 func TestWordAccessBigEndian(t *testing.T) {
 	m := twoRegions(t)
-	if err := m.WriteU16(10, 0xBEEF); err != nil {
-		t.Fatal(err)
+	w, ok := m.Word(10)
+	if !ok {
+		t.Fatal("Word(10) unmapped")
 	}
+	w.Set(0xBEEF)
 	hi, lo := byteAt(m, 10), byteAt(m, 11)
 	if hi != 0xBE || lo != 0xEF {
 		t.Fatalf("bytes = (%#x, %#x), want big-endian (0xBE, 0xEF)", hi, lo)
 	}
-	v, err := m.ReadU16(10)
-	if err != nil || v != 0xBEEF {
-		t.Fatalf("ReadU16 = (%#x, %v)", v, err)
+	if v := w.Get(); v != 0xBEEF {
+		t.Fatalf("Get = %#x", v)
 	}
 	// A word may not cross the region end.
-	if _, err := m.ReadU16(416); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("word crossing region end: %v", err)
-	}
-	if err := m.WriteU16(416, 1); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("word write crossing region end: %v", err)
+	if _, ok := m.Word(416); ok {
+		t.Error("word crossing region end resolved")
 	}
 }
 
@@ -120,19 +118,20 @@ func TestFlipBit(t *testing.T) {
 
 func TestImageRestore(t *testing.T) {
 	m := twoRegions(t)
-	m.WriteU16(0, 0x1234)
-	m.WriteU16(0x4000, 0x5678)
+	ram, stack := MustBind(m, "ram", 0), MustBind(m, "stack", 0x4000)
+	ram.Set(0x1234)
+	stack.Set(0x5678)
 	var img Image
 	m.Capture(&img)
-	m.WriteU16(0, 0xFFFF)
-	m.WriteU16(0x4000, 0)
+	ram.Set(0xFFFF)
+	stack.Set(0)
 	if err := m.RestoreImage(&img); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := m.ReadU16(0); v != 0x1234 {
+	if v := ram.Get(); v != 0x1234 {
 		t.Errorf("restored ram word = %#x", v)
 	}
-	if v, _ := m.ReadU16(0x4000); v != 0x5678 {
+	if v := stack.Get(); v != 0x5678 {
 		t.Errorf("restored stack word = %#x", v)
 	}
 	if b, err := m.ImageByteAt(&img, 0x4001); err != nil || b != 0x78 {
@@ -189,11 +188,12 @@ func TestQuickWordRoundTrip(t *testing.T) {
 	m := twoRegions(t)
 	f := func(addrRaw, v uint16) bool {
 		addr := addrRaw % 415 // keep the word inside the ram region
-		if err := m.WriteU16(addr, v); err != nil {
+		w, ok := m.Word(addr)
+		if !ok {
 			return false
 		}
-		got, err := m.ReadU16(addr)
-		return err == nil && got == v
+		w.Set(v)
+		return w.Get() == v && byteAt(m, addr) == byte(v>>8) && byteAt(m, addr+1) == byte(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestQuickWordRoundTrip(t *testing.T) {
 
 func TestDump(t *testing.T) {
 	m := twoRegions(t)
-	m.WriteU16(0, 0xBEEF)
+	MustBind(m, "x", 0).Set(0xBEEF)
 	var buf strings.Builder
 	if err := m.Dump(&buf); err != nil {
 		t.Fatal(err)

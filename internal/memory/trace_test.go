@@ -47,12 +47,12 @@ func TestAccessSinkSeesSoftwareTraffic(t *testing.T) {
 	v.Set(0x1234)
 	_ = v.Get()
 	v.Add(1) // read-modify-write: load then store
-	if err := m.WriteU16(0x204, 0xBEEF); err != nil {
-		t.Fatal(err)
+	w, ok := m.Word(0x204)
+	if !ok {
+		t.Fatal("Word(0x204) unmapped")
 	}
-	if _, err := m.ReadU16(0x204); err != nil {
-		t.Fatal(err)
-	}
+	w.Set(0xBEEF)
+	_ = w.Get()
 	if err := m.SetByteAt(0x120, 7); err != nil {
 		t.Fatal(err)
 	}

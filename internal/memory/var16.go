@@ -25,11 +25,24 @@ type Var16 struct {
 // Bind creates a Var16 for the big-endian word at addr. Both bytes
 // must lie inside one region.
 func Bind(m *Memory, name string, addr uint16) (Var16, error) {
-	off := m.offset(addr, 2)
-	if off < 0 {
+	v, ok := m.Word(addr)
+	if !ok {
 		return Var16{}, fmt.Errorf("memory: binding %q: %w", name, errRange(addr, 2))
 	}
-	return Var16{w: (*[2]byte)(m.data[off : off+2]), mem: m, addr: addr}, nil
+	return v, nil
+}
+
+// Word binds the word at addr like Bind, without a name or an error:
+// ok is false unless both bytes lie inside one region. It is small
+// enough to inline (CI checks that it does), so the target's dispatcher
+// resolves its frame words, whose address is the run-time stack
+// pointer, at the cost of one address check each.
+func (m *Memory) Word(addr uint16) (v Var16, ok bool) {
+	off := m.offset(addr, 2)
+	if off < 0 {
+		return Var16{}, false
+	}
+	return Var16{w: (*[2]byte)(m.data[off:]), mem: m, addr: addr}, true
 }
 
 // MustBind is Bind for statically known layouts; it panics on error.

@@ -49,8 +49,7 @@ func TestVar16GetSet(t *testing.T) {
 		t.Fatalf("Get = %#x", got)
 	}
 	// The memory view agrees (big-endian).
-	w, _ := m.ReadU16(0x102)
-	if w != 0xA55A {
+	if w := MustBind(m, "y", 0x102).Get(); w != 0xA55A {
 		t.Fatalf("memory word = %#x", w)
 	}
 	// A bit-flip through the memory API is visible through the Var16.

@@ -68,11 +68,12 @@ func (m *memBuf) snapshot() []byte {
 // wraps, a detSink has a single owner; only snapshot may be called
 // from other goroutines.
 type detSink struct {
-	b    *journal.LineBatcher
-	line []byte
-	file *os.File
-	path string
-	mem  *memBuf
+	b     *journal.LineBatcher
+	line  []byte
+	lines uint64 // detections added so far (owner only)
+	file  *os.File
+	path  string
+	mem   *memBuf
 }
 
 // newDetSink opens shard idx's journal under dir, or an in-memory
@@ -100,6 +101,7 @@ func newDetSink(dir string, idx int) (*detSink, error) {
 func (s *detSink) add(stream uint32, v core.Violation) {
 	s.line = AppendDetection(s.line[:0], stream, v)
 	s.b.Add(s.line)
+	s.lines++
 }
 
 // flush forces staged lines out (owner goroutine only).

@@ -49,7 +49,7 @@ func (in *Inline) Ingest(payload []byte) error {
 			st := in.streams[id]
 			if st == nil {
 				var err error
-				if st, err = newStreamState(id, in.sink, nil); err != nil {
+				if st, err = newStreamState(id, in.sink); err != nil {
 					return err
 				}
 				in.streams[id] = st

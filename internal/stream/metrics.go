@@ -13,10 +13,11 @@ import (
 // catch-all.
 const histBuckets = 32
 
-// shardMetrics is one shard's hot-path accounting. All fields are
-// plain uint64s updated and read with sync/atomic, the same discipline
-// as the core monitor counters: the shard goroutine is the only
-// writer, metrics readers never block it.
+// shardMetrics is one shard's accounting as the metrics endpoint reads
+// it: plain uint64s written with sync/atomic once per chunk by the
+// shard goroutine, the only writer, and read atomically, so metrics
+// readers never block it. Between chunks the fields agree with each
+// other; a reader racing a publish may see some fields a chunk ahead.
 //
 // Latency is sampled per batch, not per sample: the shard timestamps a
 // chunk once, divides the elapsed time by the record count and charges

@@ -83,8 +83,7 @@ type Service struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	registry sync.Map // uint32 -> *streamState
-	start    time.Time
+	start time.Time
 
 	droppedBatches uint64
 	droppedSamples uint64
@@ -316,17 +315,26 @@ func (s *Service) DrainQueued() {
 	}
 }
 
-// StreamStats returns a live stream's per-monitor accounting (the
-// suite's Stats, safe concurrently with the shard applying samples)
-// plus its sample counters. ok is false if the stream has never sent a
-// sample.
+// StreamStats returns a stream's per-monitor accounting plus its sample
+// counters as one consistent snapshot. The request travels the stream's
+// shard queue like a flush barrier (never shed), and the shard
+// goroutine, which owns the stream, answers between chunks: the reply
+// covers exactly the chunks enqueued before it. ok is false if the
+// stream has never sent a sample or the service is closed. On a
+// service built with NewUnstarted the request waits for DrainQueued.
 func (s *Service) StreamStats(id uint32) (stats []core.MonitorStats, samples, detections, rejected uint64, ok bool) {
-	v, ok := s.registry.Load(id)
-	if !ok {
+	s.mu.RLock()
+	if s.closed || id >= uint32(s.cfg.MaxStreams) {
+		s.mu.RUnlock()
 		return nil, 0, 0, 0, false
 	}
-	st := v.(*streamState)
-	return st.suite.Stats(), st.Samples(), st.Detections(), st.Rejected(), true
+	req := &statsReq{id: id}
+	ack := make(chan struct{})
+	s.shards[s.shardFor(id)].ch <- &chunk{ack: ack, stats: req}
+	s.mu.RUnlock()
+	<-ack
+	out := req.out
+	return out.monitors, out.samples, out.detections, out.rejected, req.ok
 }
 
 // Metrics assembles the self-metrics snapshot.

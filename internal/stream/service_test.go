@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -145,6 +146,114 @@ func TestObserverEquivalence(t *testing.T) {
 				t.Errorf("observers diverge:\nservice:\n%s\ninline:\n%s", cGot, cWant)
 			}
 		})
+	}
+}
+
+// TestStreamStatsDuringIngest reads streams' stats through the routed
+// request while another goroutine keeps ingesting faulty traces. Run
+// under -race (CI does), it proves the stats path shares no memory with
+// the shard's hot path. Every reply must be a snapshot between two
+// chunks: each of a stream's monitors tested every applied sample
+// exactly once, so tests equal samples on all seven, violations never
+// exceed tests, the detections are the violations' sum, and samples
+// never go backwards.
+func TestStreamStatsDuringIngest(t *testing.T) {
+	const streams = 4
+	traces := faultyTraces(t, streams)
+	svc, err := New(Config{Shards: 2, MaxStreams: streams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		// Small batches interleave the readers' requests with many chunks.
+		done <- func() error {
+			for start := 0; start < 2000; start += 100 {
+				for id := uint32(0); id < streams; id++ {
+					rows := traces[id][start : start+100]
+					if _, _, err := svc.Ingest(EncodeTrace(nil, id, rows, 25, start == 0)); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}()
+	}()
+
+	// check reads stream id's stats and returns its samples, which must
+	// not fall below last.
+	check := func(id uint32, last uint64) (uint64, error) {
+		stats, samples, detections, _, ok := svc.StreamStats(id)
+		if !ok {
+			return last, nil
+		}
+		if len(stats) != NumSignals {
+			return 0, fmt.Errorf("stream %d: %d monitors, want %d", id, len(stats), NumSignals)
+		}
+		var violations uint64
+		for _, m := range stats {
+			if m.Violations > m.Tests {
+				return 0, fmt.Errorf("stream %d %s: violations %d > tests %d", id, m.Name, m.Violations, m.Tests)
+			}
+			if m.Tests != samples {
+				return 0, fmt.Errorf("stream %d %s: tests %d, samples %d: not a snapshot between chunks", id, m.Name, m.Tests, samples)
+			}
+			violations += m.Violations
+		}
+		if detections != violations {
+			return 0, fmt.Errorf("stream %d: detections %d, violations %d", id, detections, violations)
+		}
+		if samples < last {
+			return 0, fmt.Errorf("stream %d: samples went backwards: %d -> %d", id, last, samples)
+		}
+		return samples, nil
+	}
+
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last [streams]uint64
+			for {
+				select {
+				case err := <-done:
+					done <- err
+					return
+				default:
+				}
+				for id := uint32(0); id < streams; id++ {
+					var err error
+					if last[id], err = check(id, last[id]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var detections uint64
+	for id := uint32(0); id < streams; id++ {
+		if got, err := check(id, 0); err != nil || got != 2000 {
+			t.Errorf("stream %d: %d samples after the flush (%v), want 2000", id, got, err)
+		}
+		_, _, det, _, _ := svc.StreamStats(id)
+		detections += det
+	}
+	if detections == 0 {
+		t.Error("faulty streams produced no detections; the violation checks are vacuous")
+	}
+	if m := svc.Metrics(); m.Samples != streams*2000 || m.Detections != detections {
+		t.Errorf("metrics: samples %d detections %d, want %d/%d", m.Samples, m.Detections, streams*2000, detections)
 	}
 }
 

@@ -12,14 +12,26 @@ import (
 // keeps its capacity across uses, so steady-state ingestion reuses the
 // same backing arrays.
 //
-// A chunk with a non-nil ack and no records is a flush barrier: the
-// shard flushes its detection journal and closes ack. Because the
-// queue is FIFO and the shard goroutine is the only consumer, closing
-// ack proves every chunk enqueued before the barrier has been fully
-// applied and its detections are readable.
+// A chunk with a non-nil ack and no records is a control message. With
+// a nil stats it is a flush barrier: the shard flushes its detection
+// journal and closes ack. With a stats request the shard fills it in
+// from the stream it names and closes ack. Because the queue is FIFO
+// and the shard goroutine is the only consumer, closing ack proves
+// every chunk enqueued before the message has been fully applied: its
+// detections are readable, and a stats reply is a consistent snapshot
+// between two chunks.
 type chunk struct {
-	recs []byte
-	ack  chan struct{}
+	recs  []byte
+	ack   chan struct{}
+	stats *statsReq
+}
+
+// statsReq asks a shard for one stream's accounting; ok reports that
+// the shard has seen the stream.
+type statsReq struct {
+	id  uint32
+	out streamStats
+	ok  bool
 }
 
 // shard owns a contiguous stream-ID range: the monitor instances of
@@ -27,7 +39,8 @@ type chunk struct {
 // batched detection journal. All mutable monitoring state is touched
 // only by the shard's goroutine (or, for an unstarted test service,
 // by the test draining the queue itself), so the hot path takes no
-// locks at all — the sharding IS the synchronization.
+// locks and no atomics at all — the sharding IS the synchronization.
+// The shard publishes its totals to m once per chunk.
 type shard struct {
 	idx    int
 	lo, hi uint32 // stream-ID range [lo, hi)
@@ -59,13 +72,18 @@ func (sh *shard) run() {
 // allocation anywhere (gated by TestIngestPathZeroAllocs).
 func (sh *shard) process(c *chunk) {
 	if c.ack != nil {
-		if err := sh.sink.flush(); err != nil {
+		if r := c.stats; r != nil {
+			if st := sh.streams[r.id]; st != nil {
+				r.out, r.ok = st.stats(), true
+			}
+		} else if err := sh.sink.flush(); err != nil {
 			sh.svc.setErr(fmt.Errorf("stream: shard %d journal: %w", sh.idx, err))
 		}
 		close(c.ack)
 		return
 	}
 	n := len(c.recs) / RecordBytes
+	var rejected uint64
 	start := time.Now()
 	for off := 0; off < len(c.recs); off += RecordBytes {
 		rec := c.recs[off : off+RecordBytes]
@@ -79,10 +97,13 @@ func (sh *shard) process(c *chunk) {
 			}
 		}
 		if st.apply(rec) {
-			atomic.AddUint64(&sh.m.rejected, 1)
+			rejected++
 		}
 	}
 	sh.m.observe(n, time.Since(start))
+	atomic.AddUint64(&sh.m.rejected, rejected)
+	atomic.StoreUint64(&sh.m.streams, uint64(len(sh.streams)))
+	atomic.StoreUint64(&sh.m.detections, sh.sink.lines)
 	sh.svc.putChunk(c)
 }
 
@@ -91,13 +112,11 @@ func (sh *shard) process(c *chunk) {
 // reconnects reuse the instances via FlagReset (the Monitor reuse
 // contract), so a stream that flaps does not churn monitors.
 func (sh *shard) addStream(id uint32) (*streamState, error) {
-	st, err := newStreamState(id, sh.sink, &sh.m.detections)
+	st, err := newStreamState(id, sh.sink)
 	if err != nil {
 		return nil, err
 	}
 	sh.streams[id] = st
-	atomic.AddUint64(&sh.m.streams, 1)
-	sh.svc.registry.Store(id, st)
 	return st, nil
 }
 

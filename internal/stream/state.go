@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"easig/internal/core"
 	"easig/internal/target"
@@ -10,10 +9,10 @@ import (
 
 // streamState is the monitoring state of one plant stream: its own
 // instances of the seven Table 4 assertion monitors, a suite wrapping
-// them for live accounting, and per-stream counters. A streamState is
-// owned by exactly one applier goroutine (its shard, or an Inline
-// reference); the counters and the suite's Stats are the only parts
-// other goroutines read, and both are atomic.
+// them for accounting, and per-stream counters. A streamState is owned
+// by exactly one applier goroutine (its shard, or an Inline reference),
+// counters included: other goroutines read them only through a stats
+// request that the owning shard answers between chunks.
 //
 // The identical apply path is what makes the observer-equivalence
 // guarantee hold by construction: the service's shards and the Inline
@@ -25,26 +24,17 @@ type streamState struct {
 	monitors [NumSignals]*core.Monitor
 	suite    *core.Suite
 
-	// Counters, updated by the applier, read atomically by metrics.
-	samples    uint64
-	detections uint64
-	rejected   uint64
+	samples  uint64
+	rejected uint64
 }
 
 // newStreamState builds a stream's monitors with recovery disabled
 // (the service is an observer: it reports errors, it cannot reach into
 // the plant to repair values) and a sink that renders each violation
-// as a detection line on out. onDetect, if non-nil, is bumped
-// atomically per detection (the owning shard's aggregate counter).
-func newStreamState(id uint32, out *detSink, onDetect *uint64) (*streamState, error) {
+// as a detection line on out.
+func newStreamState(id uint32, out *detSink) (*streamState, error) {
 	st := &streamState{id: id, suite: core.NewSuite()}
-	sink := core.SinkFunc(func(v core.Violation) {
-		atomic.AddUint64(&st.detections, 1)
-		if onDetect != nil {
-			atomic.AddUint64(onDetect, 1)
-		}
-		out.add(st.id, v)
-	})
+	sink := core.SinkFunc(func(v core.Violation) { out.add(id, v) })
 	for k := 0; k < NumSignals; k++ {
 		m, err := target.NewSignalMonitor(k,
 			core.WithRecovery(core.NoRecovery{}),
@@ -74,7 +64,7 @@ func (st *streamState) apply(rec []byte) (rejected bool) {
 	}
 	if mode := int(rec[9]); mode != st.mode {
 		if !st.trySetMode(mode) {
-			atomic.AddUint64(&st.rejected, 1)
+			st.rejected++
 			return true
 		}
 	}
@@ -82,7 +72,7 @@ func (st *streamState) apply(rec []byte) (rejected bool) {
 	for k, m := range st.monitors {
 		m.Test(tick, int64(be16(rec[10+2*k:])))
 	}
-	atomic.AddUint64(&st.samples, 1)
+	st.samples++
 	return false
 }
 
@@ -102,11 +92,19 @@ func (st *streamState) trySetMode(mode int) bool {
 	return true
 }
 
-// Samples returns the stream's applied-sample count.
-func (st *streamState) Samples() uint64 { return atomic.LoadUint64(&st.samples) }
+// streamStats is one stream's accounting, as its shard reports it.
+type streamStats struct {
+	monitors                      []core.MonitorStats
+	samples, detections, rejected uint64
+}
 
-// Detections returns the stream's violation count.
-func (st *streamState) Detections() uint64 { return atomic.LoadUint64(&st.detections) }
-
-// Rejected returns the stream's rejected-record count (unknown mode).
-func (st *streamState) Rejected() uint64 { return atomic.LoadUint64(&st.rejected) }
+// stats snapshots the stream's accounting; only the owner may call it.
+// Every detection is one monitor violation, so the stream's detections
+// are their sum.
+func (st *streamState) stats() streamStats {
+	out := streamStats{monitors: st.suite.Stats(), samples: st.samples, rejected: st.rejected}
+	for _, m := range out.monitors {
+		out.detections += m.Violations
+	}
+	return out
+}

@@ -21,5 +21,5 @@ func NewSignalMonitor(k int, opts ...core.MonitorOption) (*core.Monitor, error) 
 	if classes[k].IsContinuous() {
 		return core.NewContinuousSingle(names[k], classes[k], eaContinuous(k), opts...)
 	}
-	return core.NewDiscreteSingle(names[k], classes[k], eaDiscrete(k), opts...)
+	return core.NewDiscreteSingle(names[k], classes[k], eaDiscrete()[k], opts...)
 }

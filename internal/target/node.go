@@ -31,14 +31,6 @@ type link struct {
 	valid bool
 }
 
-// ramPrev binds a monitor's previous-value state s' to a word of the
-// node's injectable RAM: on the real target the assertion state lives in
-// the same memory the fault injector corrupts.
-type ramPrev struct{ v memory.Var16 }
-
-func (p ramPrev) LoadPrev() int64   { return int64(p.v.Get()) }
-func (p ramPrev) StorePrev(x int64) { p.v.Set(uint16(x)) }
-
 // Node is one computer node of the arresting system: the master (drum 0,
 // runs DIST_S and CALC and transmits the set point) or the slave (drum
 // 1, receives the set point). All application state lives in the node's
@@ -50,10 +42,14 @@ type Node struct {
 	mem    *memory.Memory
 	lnk    *link
 
-	// The seven monitored signals (RAM words 0..6) and their assertion
-	// monitors; mons[k] is nil when the built version omits EA k+1.
+	// The seven monitored signals (RAM words 0..6), their assertion
+	// monitors and each monitor's previous accepted value s', held in
+	// RAM because on the real target the assertion state lives in the
+	// memory the fault injector corrupts; mons[k] is nil when the built
+	// version omits EA k+1.
 	sig  [NumEAs]memory.Var16
 	mons [NumEAs]*core.Monitor
+	prev [NumEAs]memory.Var16
 
 	// Control state in RAM.
 	massDial  memory.Var16
@@ -137,26 +133,16 @@ func newNode(isMaster bool, drum int, env *physics.Env, lnk *link,
 		}
 	}
 
-	classes := SignalClasses()
 	for k := 0; k < NumEAs; k++ {
 		if !version.enables(k + 1) {
 			continue
 		}
-		opts := []core.MonitorOption{
-			core.WithPrevStore(ramPrev{memory.MustBind(mem, names[k]+"'", uint16(addrPrevBase+2*k))}),
-			core.WithSink(sink),
-			core.WithRecovery(recovery),
-		}
-		var m *core.Monitor
-		if classes[k].IsContinuous() {
-			m, err = core.NewContinuousSingle(names[k], classes[k], eaContinuous(k), opts...)
-		} else {
-			m, err = core.NewDiscreteSingle(names[k], classes[k], eaDiscrete(k), opts...)
-		}
+		m, err := NewSignalMonitor(k, core.WithSink(sink), core.WithRecovery(recovery))
 		if err != nil {
 			return nil, err
 		}
 		n.mons[k] = m
+		n.prev[k] = memory.MustBind(mem, names[k]+"'", uint16(addrPrevBase+2*k))
 	}
 	return n, nil
 }
@@ -179,20 +165,22 @@ func (n *Node) Vars() Vars {
 
 // test runs the signal's executable assertion — when this version
 // enables it — on the current in-memory value at its Table 4 test
-// location, writes any recovery back to the signal's RAM word and
-// returns the accepted value.
+// location against s' from RAM, stores the accepted value as the new
+// s', writes any recovery back to the signal's RAM word and returns the
+// accepted value. The order of the memory accesses (signal load, s'
+// load, s' store, recovery store) is what the liveness pass relies on.
 func (n *Node) test(sig int, now int64) int64 {
 	s := int64(n.sig[sig].Get())
 	m := n.mons[sig]
 	if m == nil {
 		return s
 	}
-	rec, viol := m.Test(now, s)
+	acc, viol := m.Check(now, int64(n.prev[sig].Get()), s)
+	n.prev[sig].Set(uint16(acc))
 	if viol != nil {
-		n.sig[sig].Set(uint16(rec))
-		return rec
+		n.sig[sig].Set(uint16(acc))
 	}
-	return s
+	return acc
 }
 
 // tick is the node's 1 ms interrupt: CLOCK, the per-ms modules and the
@@ -310,13 +298,26 @@ func (n *Node) rx(now int64) {
 // module and pops the frame. A corrupted stack pointer makes the frame
 // writes land elsewhere (or outside memory entirely); a frame that does
 // not read back intact means the return context is gone and the node
-// crashes.
+// crashes. The push keeps one order of loads, address checks and
+// stores — frame store, slot load, check, slot store, set-point load,
+// check, set-point store — because a corrupted sp can overlap the
+// signal words and the liveness pass sees every access.
 func (n *Node) dispatch(slot int, now int64) {
 	sp := n.sp.Get()
 	frame := uint16(frameMagic | uint16(slot))
-	if n.mem.WriteU16(sp, frame) != nil ||
-		n.mem.WriteU16(sp+2, n.sig[sigMsSlotNbr].Get()) != nil ||
-		n.mem.WriteU16(sp+4, n.sig[sigSetValue].Get()) != nil {
+	w, ok := n.mem.Word(sp)
+	if ok {
+		w.Set(frame)
+		slotNbr := n.sig[sigMsSlotNbr].Get()
+		if w, ok = n.mem.Word(sp + 2); ok {
+			w.Set(slotNbr)
+			setValue := n.sig[sigSetValue].Get()
+			if w, ok = n.mem.Word(sp + 4); ok {
+				w.Set(setValue)
+			}
+		}
+	}
+	if !ok {
 		n.dead = true
 		return
 	}
@@ -336,8 +337,7 @@ func (n *Node) dispatch(slot int, now int64) {
 	}
 
 	base := n.sp.Get() - frameBytes
-	got, err := n.mem.ReadU16(base)
-	if err != nil || got != frame {
+	if w, ok = n.mem.Word(base); !ok || w.Get() != frame {
 		n.dead = true
 		return
 	}

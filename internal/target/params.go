@@ -1,6 +1,10 @@
 package target
 
-import "easig/internal/core"
+import (
+	"sync"
+
+	"easig/internal/core"
+)
 
 // Control-law and plant-interface constants of the target software.
 // Pressure values are in counts of physics.PressureUnitKPa (10 kPa),
@@ -101,18 +105,16 @@ func eaContinuous(sig int) core.Continuous {
 	}
 }
 
-// eaDiscrete returns the Pdisc parameter set of the given signal's
-// assertion.
-func eaDiscrete(sig int) core.Discrete {
-	switch sig {
-	case sigI:
+// eaDiscrete returns the Pdisc parameter sets of the discrete signals'
+// assertions, built and indexed on first use: every monitor of every
+// node and stream shares them, since a monitor never writes its
+// discrete sets.
+var eaDiscrete = sync.OnceValue(func() map[int]core.Discrete {
+	return map[int]core.Discrete{
 		// EA3: the checkpoint counter walks 0..6 one step at a time and
 		// may hold its value between tests.
-		return core.NewLinear([]int64{0, 1, 2, 3, 4, 5, 6}, false, true)
-	case sigMsSlotNbr:
+		sigI: core.NewLinear([]int64{0, 1, 2, 3, 4, 5, 6}, false, true),
 		// EA5: the dispatcher slot cycles 0..6 and never repeats.
-		return core.NewLinear([]int64{0, 1, 2, 3, 4, 5, 6}, true, false)
-	default:
-		panic("target: no discrete parameters for signal")
+		sigMsSlotNbr: core.NewLinear([]int64{0, 1, 2, 3, 4, 5, 6}, true, false),
 	}
-}
+})

@@ -139,8 +139,8 @@ func TestDispatcherStackBalanced(t *testing.T) {
 	sys := newTestSystem(t, SystemConfig{})
 	for k := 0; k < 50; k++ {
 		sys.StepMs()
-		if sp, err := sys.Master().Memory().ReadU16(addrSP); err != nil || sp != spInit {
-			t.Fatalf("after tick %d: sp = 0x%04x (err %v), want 0x%04x", k, sp, err, spInit)
+		if sp := sys.Master().sp.Get(); sp != spInit {
+			t.Fatalf("after tick %d: sp = 0x%04x, want 0x%04x", k, sp, spInit)
 		}
 	}
 }
