@@ -23,13 +23,19 @@
 //	fic -metrics                 # final JSON metrics block on stdout
 //	fic -engine literal          # escape hatch: simulate every run from time zero
 //	fic -format json             # render results as the machine-readable export
-//	fic worker -server URL       # attach to a ficd campaign service as a shard worker
+//	fic -cases 0,1 -journal s0.jsonl  # run one shard: only these test cases
+//	fic merge s0.jsonl s1.jsonl  # print the tables of the merged shard journals
 //	fic optimize -errors e1      # sweep the detector configuration lattice (see OPTIMIZER.md)
 //
-// In worker mode fic claims shards of a distributed campaign from a
-// ficd service, executes them with the in-process scheduler under a
-// heartbeat-renewed lease, and uploads the shard journals; see
-// SERVICE.md for the protocol and an operator's quickstart.
+// A campaign runs as shards with -cases: each shard runs the listed
+// test cases of the grid into its own -journal, and resumes with
+// -resume like any campaign. `fic merge <journal>...` takes the same
+// protocol flags as the campaign, merges the shard journals and prints
+// the tables byte-identical to a single-process run; it refuses shards
+// of another protocol or engine, a missing run, a wrong seed and a run
+// outside the grid. Any scheduler can run the shards (xargs, make, a
+// job array); see ARCHITECTURE.md's determinism contract for why the
+// merge is sound.
 //
 // In optimize mode fic scores every assertion subset x placement x
 // recovery configuration on detection probability, detection latency
@@ -40,7 +46,7 @@
 //
 // Results render through the shared reporter path (-format text|json):
 // the same bytes whether a campaign ran in this process or was merged
-// from distributed shards by ficd.
+// from shard journals.
 //
 // The -engine flag selects the execution engine behind the unified
 // Runner API: auto (default — snapshot for detection-only campaigns,
@@ -66,23 +72,18 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
 	"easig"
+	"easig/internal/experiment"
 	"easig/internal/inject"
 	"easig/internal/journal"
-	"easig/internal/service"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		if err := runWorker(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "fic:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "optimize" {
 		if err := runOptimize(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "fic:", err)
@@ -115,40 +116,35 @@ func checkScale(grid int, observe int64, policy inject.Policy) error {
 	return nil
 }
 
-// runWorker is the `fic worker` subcommand: attach to a ficd service
-// and process distributed-campaign shards until every campaign is
-// terminal (clean drain) or the process is interrupted.
-func runWorker(args []string) error {
-	fs := flag.NewFlagSet("fic worker", flag.ExitOnError)
-	var (
-		server  = fs.String("server", "http://localhost:7070", "ficd base URL")
-		name    = fs.String("name", "", "worker identity in leases and the shard ledger (default hostname-pid)")
-		workers = fs.Int("workers", 0, "in-process pool size per shard (0 = GOMAXPROCS)")
-		poll    = fs.Duration("poll", 500*time.Millisecond, "idle claim-retry interval")
-	)
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q", fs.Args())
+// parseCases parses the -cases list of test-case indices ("" is the
+// whole grid). Range and duplicates are checked against the grid by the
+// campaign itself.
+func parseCases(list string) ([]int, error) {
+	if list == "" {
+		return nil, nil
 	}
-	w, err := service.NewWorker(service.WorkerOptions{
-		Server:  *server,
-		Name:    *name,
-		Workers: *workers,
-		Poll:    *poll,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "fic: "+format+"\n", a...)
-		},
-	})
-	if err != nil {
-		return err
+	var cases []int
+	for _, f := range strings.Split(list, ",") {
+		c, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("-cases: %q is not a test-case index", f)
+		}
+		cases = append(cases, c)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return w.Run(ctx)
+	return cases, nil
 }
 
+// run is the campaign command and, when args opens with "merge", the
+// `fic merge <journal>...` subcommand: one flag set names the protocol
+// either way, so a merge is checked against exactly the protocol its
+// shards ran.
 func run(args []string) error {
-	fs := flag.NewFlagSet("fic", flag.ExitOnError)
+	merge := len(args) > 0 && args[0] == "merge"
+	name := "fic"
+	if merge {
+		args, name = args[1:], "fic merge"
+	}
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	var (
 		experimentF = fs.String("experiment", "", "campaign to run: e1, e2 or all")
 		printF      = fs.String("print", "", "static output: table4, table6 or figure2")
@@ -164,6 +160,7 @@ func run(args []string) error {
 		jsonPath    = fs.String("json", "", "also write machine-readable results to this file")
 		journalF    = fs.String("journal", "", "record every completed run to this JSONL journal")
 		resumeF     = fs.String("resume", "", "resume an interrupted campaign from its journal (keeps appending to it)")
+		casesF      = fs.String("cases", "", "run one shard: comma-separated test-case indices of the grid (merge the shard journals with fic merge)")
 		progressF   = fs.Bool("progress", false, "render a periodic progress line on stderr")
 		metricsF    = fs.Bool("metrics", false, "print a final JSON metrics block (runs/sec, wall time, per-worker utilization)")
 		engineF     = fs.String("engine", "auto", "execution engine: auto, literal, snapshot or memo")
@@ -176,11 +173,21 @@ func run(args []string) error {
 		return err
 	}
 
-	experiment := *experimentF
-	if fs.NArg() == 1 && experiment == "" {
+	cases, err := parseCases(*casesF)
+	if err != nil {
+		return err
+	}
+	exp := *experimentF
+	switch {
+	case merge && fs.NArg() == 0:
+		return fmt.Errorf("merge needs the shard journals to merge")
+	case merge && (*journalF != "" || *resumeF != "" || cases != nil):
+		return fmt.Errorf("merge reads the shard journals of the whole grid: -journal, -resume and -cases do not apply")
+	case merge:
+	case fs.NArg() == 1 && exp == "":
 		// `fic exhaustive` (and friends) as a positional command.
-		experiment = fs.Arg(0)
-	} else if fs.NArg() > 0 {
+		exp = fs.Arg(0)
+	case fs.NArg() > 0:
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 
@@ -233,8 +240,21 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if format.Name() == "journal" {
-		return fmt.Errorf("-format journal is served by ficd (results?format=journal); fic journals with -journal")
+
+	var exps []string
+	switch exp {
+	case "e1":
+		exps = []string{experiment.ExperimentE1}
+	case "e2":
+		exps = []string{experiment.ExperimentE2}
+	case "all":
+		exps = []string{experiment.ExperimentE1, experiment.ExperimentE2}
+	case "exhaustive":
+		exps = []string{experiment.ExperimentExhaustive}
+	case "":
+		return fmt.Errorf("nothing to do: pass -experiment e1|e2|exhaustive|all or -print table4|table6|figure2")
+	default:
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
 
 	if *cpuprofile != "" {
@@ -271,6 +291,7 @@ func run(args []string) error {
 			ObservationMs: *observe,
 			Policy:        inject.Policy{StartMs: *start, PeriodMs: *period},
 			Placement:     placement,
+			Cases:         cases,
 		},
 		Exec: easig.CampaignExec{
 			Mode:     mode,
@@ -279,7 +300,7 @@ func run(args []string) error {
 			Context:  ctx,
 		},
 	}
-	if experiment == "exhaustive" {
+	if exp == "exhaustive" {
 		cfg.Exhaustive = true
 		if mode == easig.EngineAuto {
 			// Pruning + memoization is what makes the full fault space
@@ -312,69 +333,36 @@ func run(args []string) error {
 		}
 	}
 
-	var (
-		e1 *easig.E1Result
-		e2 *easig.E2Result
-	)
-	switch experiment {
-	case "e1", "all":
-		began := time.Now()
-		fmt.Fprintf(os.Stderr, "fic: running E1 (%d errors x %d cases x 8 versions)...\n", 112, *grid**grid)
-		if e1, err = easig.RunE1(cfg); err != nil {
-			return interrupted(err, jw, *journalF, *resumeF, "campaign", "fic")
-		}
-		// e1.Metrics.Runs counts dispatched runs only: journal-replayed
-		// runs cost no simulation time and would inflate the throughput
-		// figure on a resumed campaign.
-		fmt.Fprintf(os.Stderr, "fic: E1 done: %d live runs in %v (%s)\n",
-			e1.Metrics.Runs, time.Since(began).Round(time.Second), metricsLine(e1.Metrics, "runs"))
-	case "e2", "exhaustive":
-	case "":
-		return fmt.Errorf("nothing to do: pass -experiment e1|e2|exhaustive|all or -print table4|table6|figure2")
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
-	}
-	if experiment == "e2" || experiment == "exhaustive" || experiment == "all" {
-		began := time.Now()
-		nErrors := 200
-		if cfg.Exhaustive {
-			nErrors = inject.ExhaustiveSize
-		}
-		fmt.Fprintf(os.Stderr, "fic: running %s (%d errors x %d cases)...\n",
-			map[bool]string{true: "exhaustive E2", false: "E2"}[cfg.Exhaustive], nErrors, *grid**grid)
-		if e2, err = easig.RunE2(cfg); err != nil {
-			return interrupted(err, jw, *journalF, *resumeF, "campaign", "fic")
-		}
-		fmt.Fprintf(os.Stderr, "fic: %s done: %d live runs in %v (%s)\n",
-			map[bool]string{true: "exhaustive E2", false: "E2"}[cfg.Exhaustive],
-			e2.Metrics.Runs, time.Since(began).Round(time.Second), metricsLine(e2.Metrics, "runs"))
-	}
-	if e1 != nil || e2 != nil {
-		// All result rendering goes through the shared reporter path:
-		// the same Format implementations serve ficd's results endpoint,
-		// so a distributed campaign's merged tables are byte-identical
-		// to this output by construction.
-		res := &easig.CampaignResults{Spec: cfg.Spec, E1: e1, E2: e2}
-		rep := easig.CampaignReporter{Format: format, Output: easig.StdWriter{W: os.Stdout}}
-		if err := rep.Report(res); err != nil {
+	var res *easig.CampaignResults
+	if merge {
+		if res, err = mergeShards(cfg, fs.Args(), exps); err != nil {
 			return err
 		}
+	} else if res, err = runCampaign(cfg, exps); err != nil {
+		return interrupted(err, jw, *journalF, *resumeF, "campaign", "fic")
+	}
+	// All result rendering goes through the shared reporter path, so a
+	// merged campaign's tables are byte-identical to a single-process
+	// campaign's output by construction.
+	rep := easig.CampaignReporter{Format: format, Output: easig.StdWriter{W: os.Stdout}}
+	if err := rep.Report(res); err != nil {
+		return err
 	}
 	if *metricsF {
 		var ms []easig.CampaignMetrics
-		if e1 != nil {
-			ms = append(ms, e1.Metrics)
+		if res.E1 != nil {
+			ms = append(ms, res.E1.Metrics)
 		}
-		if e2 != nil {
-			ms = append(ms, e2.Metrics)
+		if res.E2 != nil {
+			ms = append(ms, res.E2.Metrics)
 		}
 		if b, err := json.MarshalIndent(ms, "", "  "); err == nil {
 			fmt.Println(string(b))
 		}
 	}
-	if *jsonPath != "" && (e1 != nil || e2 != nil) {
+	if *jsonPath != "" {
 		rep := easig.CampaignReporter{Format: easig.JSONReport{}, Output: easig.FileReport{Path: *jsonPath}}
-		if err := rep.Report(&easig.CampaignResults{Spec: cfg.Spec, E1: e1, E2: e2}); err != nil {
+		if err := rep.Report(res); err != nil {
 			return fmt.Errorf("writing %s: %w", *jsonPath, err)
 		}
 		fmt.Fprintf(os.Stderr, "fic: wrote %s\n", *jsonPath)
@@ -385,6 +373,67 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// runCampaign runs cfg's campaign for the named experiments in order,
+// with a running and a done line on stderr for each.
+func runCampaign(cfg easig.CampaignConfig, exps []string) (*easig.CampaignResults, error) {
+	nCases := len(cfg.Cases)
+	if nCases == 0 {
+		nCases = cfg.Grid * cfg.Grid
+	}
+	res := &easig.CampaignResults{Spec: cfg.Spec}
+	for _, exp := range exps {
+		began := time.Now()
+		label := "E1"
+		var (
+			m   easig.CampaignMetrics
+			err error
+		)
+		switch exp {
+		case experiment.ExperimentE1:
+			fmt.Fprintf(os.Stderr, "fic: running E1 (%d errors x %d cases x 8 versions)...\n", 112, nCases)
+			if res.E1, err = easig.RunE1(cfg); err == nil {
+				m = res.E1.Metrics
+			}
+		default:
+			nErrors := 200
+			label = "E2"
+			if cfg.Exhaustive {
+				label, nErrors = "exhaustive E2", inject.ExhaustiveSize
+			}
+			fmt.Fprintf(os.Stderr, "fic: running %s (%d errors x %d cases)...\n", label, nErrors, nCases)
+			if res.E2, err = easig.RunE2(cfg); err == nil {
+				m = res.E2.Metrics
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		// m.Runs counts dispatched runs only: journal-replayed runs cost
+		// no simulation time and would inflate the throughput figure on
+		// a resumed campaign.
+		fmt.Fprintf(os.Stderr, "fic: %s done: %d live runs in %v (%s)\n",
+			label, m.Runs, time.Since(began).Round(time.Second), metricsLine(m, "runs"))
+	}
+	return res, nil
+}
+
+// mergeShards loads the shard journals at paths and merges them into
+// the results of cfg's campaign for the named experiments
+// (experiment.MergeShards, which refuses an incomplete or foreign
+// shard set).
+func mergeShards(cfg easig.CampaignConfig, paths, exps []string) (*easig.CampaignResults, error) {
+	logs := make([]*journal.Log, len(paths))
+	for i, path := range paths {
+		log, err := journal.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "fic: merging %s (%d journaled runs%s)\n", path, len(log.Runs), truncatedNote(log))
+		logs[i] = log
+	}
+	return experiment.MergeShards(cfg, logs, exps...)
 }
 
 // openJournal opens the -journal/-resume target shared by campaigns and

@@ -39,12 +39,12 @@
 // interruption with byte-identical tables (CampaignConfig.Journal /
 // Resume / Progress). Results render through a pluggable
 // reporter (CampaignReporter: a ReportFormat paired with a
-// ReportOutput). See the cmd/fic, cmd/ficd and cmd/arrest tools, the
-// examples directory, EXPERIMENTS.md for paper-versus-measured
-// results, ARCHITECTURE.md for the package map, the run-loop data flow
-// and the determinism contract behind campaign resume, and SERVICE.md
-// for the ficd campaign service, which distributes campaigns across
-// machines with byte-identical merged tables.
+// ReportOutput). See the cmd/fic and cmd/arrest tools, the examples
+// directory, EXPERIMENTS.md for paper-versus-measured results, and
+// ARCHITECTURE.md for the package map, the run-loop data flow and the
+// determinism contract behind campaign resume and behind sharded
+// campaigns (fic -cases and fic merge), whose merged tables are
+// byte-identical to a single-process run.
 //
 // # What this package exports
 //
@@ -52,7 +52,7 @@
 // fic's campaign path. It re-exports the names those callers use, the
 // types named in their signatures, and whole families (the versions,
 // engine modes, placements, recovery policies, monitor constructors,
-// table renderers and report formats). The ficd and sigmond services,
-// fic optimize, fic worker and the repository benchmark import the
-// internal packages directly; their names are not re-exported here.
+// table renderers and report formats). The sigmond service, fic
+// optimize, fic merge and the repository benchmark import the internal
+// packages directly; their names are not re-exported here.
 package easig

@@ -44,8 +44,7 @@ const (
 // produce byte-identical tables regardless of their other Exec options
 // (engine mode, worker count, journaling) — that
 // is the equivalence contract the runner matrix tests enforce, and it
-// is what makes Spec the wire format for a future campaign service
-// (ROADMAP item 1): a Spec can be marshalled, shipped and re-run.
+// is why a journal header binds the Spec (Config.header).
 type Spec struct {
 	// Grid is the test-case grid edge: Grid*Grid <mass, velocity>
 	// cases (default 5, the paper's 25 test cases).
@@ -72,12 +71,12 @@ type Spec struct {
 	Placement target.Placement `json:"placement,omitempty"`
 	// Cases, when non-empty, restricts the campaign to the listed
 	// test-case indices of the Grid (0 <= index < Grid*Grid). This is
-	// the shard selector of a distributed campaign (SERVICE.md): a
-	// shard worker runs the campaign Spec with Cases set to its claimed
-	// shard, and because every per-run seed is a function of the
-	// campaign seed and the GLOBAL case index only, the shard's journal
-	// records are byte-identical to the same runs of a single-process
-	// campaign — which is what makes merging shard journals sound.
+	// the shard selector (fic -cases): a shard runs the campaign Spec
+	// with Cases set to its test cases, and because every per-run seed
+	// is a function of the campaign seed and the GLOBAL case index
+	// only, the shard's journal records are byte-identical to the same
+	// runs of a single-process campaign — which is what makes merging
+	// shard journals sound (MergeShards, ARCHITECTURE.md).
 	Cases []int `json:"cases,omitempty"`
 }
 
@@ -122,10 +121,10 @@ type Exec struct {
 	Progress func(journal.ProgressEvent)
 	// ReplayOnly asserts that Resume covers the whole campaign: every
 	// run must replay from the journal and none may be dispatched. It
-	// is the merge guard of a distributed campaign — a missing record
-	// in the merged shard journals means a shard was lost, and silently
-	// re-executing it here would mask the loss instead of surfacing it
-	// (see MergeShards and SERVICE.md's failure-mode table).
+	// is the merge guard of a sharded campaign — a missing record in
+	// the merged shard journals means a shard was lost or cut, and
+	// silently re-executing it here would mask the loss instead of
+	// surfacing it (see MergeShards).
 	ReplayOnly bool
 }
 
@@ -335,7 +334,7 @@ func partition(cfg Config, h journal.Header, jobs []job, byTest bool, collect fu
 }
 
 // checkReplayOnly enforces Exec.ReplayOnly after partitioning: a
-// replay-only campaign (the merge step of a distributed campaign) must
+// replay-only campaign (the merge step of a sharded campaign) must
 // find every run in its journal.
 func (c Config) checkReplayOnly(exp string, live []job, total int) error {
 	if !c.ReplayOnly || len(live) == 0 {

@@ -5,27 +5,19 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"easig/internal/inject"
 	"easig/internal/journal"
 )
 
-// testLease and testBase pin the lease-board clock in tests.
-const testLease = time.Minute
+// The sharded campaign's core guarantee: shard journals executed by
+// separate processes merge into tables byte-identical to a
+// single-process run — under out-of-order merges, duplicated run
+// records, a journal truncated mid-batch, and a re-executed shard.
 
-func testBase() time.Time { return time.Unix(1_000_000, 0) }
-
-// The distributed campaign's core guarantee (ISSUE 8, SERVICE.md):
-// shard journals executed by separate workers merge into tables
-// byte-identical to a single-process run — under out-of-order shard
-// completion, duplicated run records, a journal truncated mid-batch,
-// and a lease-expiry re-execution.
-
-// runE1Shard executes one shard of the campaign as a worker process
-// would — the Spec restricted to the shard's cases, journaling to its
-// own file — and returns the loaded shard journal.
-func runE1Shard(t *testing.T, spec Spec, sh Shard) *journal.Log {
+// runE1Shard executes one shard of the campaign as `fic -cases` does —
+// the Spec restricted to the shard's cases, journaling to its own file
+// — and returns the loaded shard journal.
+func runE1Shard(t *testing.T, spec Spec, cases []int) *journal.Log {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "shard.jsonl")
 	w, err := journal.Create(path)
@@ -33,7 +25,7 @@ func runE1Shard(t *testing.T, spec Spec, sh Shard) *journal.Log {
 		t.Fatal(err)
 	}
 	cfg := Config{Spec: spec, Exec: Exec{Workers: 2, Journal: w}}
-	cfg.Cases = sh.Cases
+	cfg.Cases = cases
 	if _, err := RunE1(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +35,6 @@ func runE1Shard(t *testing.T, spec Spec, sh Shard) *journal.Log {
 	log, err := journal.Load(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := ValidateShardJournal(spec, ExperimentE1, sh, inject.ModeSnapshot.String(), log); err != nil {
-		t.Fatalf("shard %d journal invalid: %v", sh.Index, err)
 	}
 	return log
 }
@@ -63,7 +52,7 @@ func e1Baseline(t *testing.T, spec Spec) (t7, t8 string) {
 // mergeE1 merges shard journals and renders the merged tables.
 func mergeE1(t *testing.T, spec Spec, logs []*journal.Log) (t7, t8 string) {
 	t.Helper()
-	res, err := MergeShards(spec, ExperimentE1, inject.ModeAuto, logs)
+	res, err := MergeShards(Config{Spec: spec}, logs, ExperimentE1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,31 +66,26 @@ func TestMergedShardsMatchSingleProcess(t *testing.T) {
 	spec := shardTestSpec(515151)
 	wantT7, wantT8 := e1Baseline(t, spec)
 
-	shards, err := PlanShards(spec, ExperimentE1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logs := make([]*journal.Log, len(shards))
-	for i, sh := range shards {
-		logs[i] = runE1Shard(t, spec, sh)
+	logs := make([]*journal.Log, 4)
+	for i := range logs {
+		logs[i] = runE1Shard(t, spec, []int{i})
 	}
 
-	// In plan order.
+	// In case order.
 	t7, t8 := mergeE1(t, spec, logs)
 	if t7 != wantT7 || t8 != wantT8 {
 		t.Fatal("in-order merged tables differ from the single-process run")
 	}
 
-	// Out-of-order shard completion: reversed and interleaved merge
-	// orders produce the same bytes.
+	// Reversed and interleaved merge orders produce the same bytes.
 	rev := []*journal.Log{logs[3], logs[1], logs[2], logs[0]}
 	t7, t8 = mergeE1(t, spec, rev)
 	if t7 != wantT7 || t8 != wantT8 {
 		t.Fatal("out-of-order merged tables differ from the single-process run")
 	}
 
-	// Overlapping/duplicate records: shard 2 uploaded twice (the
-	// reclaimed-lease race) dedups to the same bytes.
+	// Overlapping/duplicate records: shard 2 passed twice dedups to the
+	// same bytes.
 	dup := append([]*journal.Log{logs[2]}, logs...)
 	t7, t8 = mergeE1(t, spec, dup)
 	if t7 != wantT7 || t8 != wantT8 {
@@ -116,18 +100,11 @@ func TestMergeRejectsTruncatedShardThenRecovers(t *testing.T) {
 	spec := shardTestSpec(626262)
 	wantT7, wantT8 := e1Baseline(t, spec)
 
-	shards, err := PlanShards(spec, ExperimentE1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := make([]*journal.Log, len(shards))
-	for i, sh := range shards {
-		full[i] = runE1Shard(t, spec, sh)
-	}
+	full := []*journal.Log{runE1Shard(t, spec, []int{0, 1}), runE1Shard(t, spec, []int{2, 3})}
 
 	// Truncate shard 1's journal mid-batch: write it back without its
 	// tail and with the final surviving line cut in half — exactly what
-	// a worker killed mid write leaves behind.
+	// a shard killed mid-write leaves behind.
 	path := filepath.Join(t.TempDir(), "trunc.jsonl")
 	wr, err := journal.Create(path)
 	if err != nil {
@@ -160,72 +137,43 @@ func TestMergeRejectsTruncatedShardThenRecovers(t *testing.T) {
 		t.Fatal("truncated journal not flagged")
 	}
 
-	// The upload validator rejects it, naming the incompleteness.
-	if err := ValidateShardJournal(spec, ExperimentE1, shards[1], inject.ModeSnapshot.String(), truncated); err == nil ||
-		!strings.Contains(err.Error(), "incomplete") {
-		t.Fatalf("ValidateShardJournal(truncated) = %v, want incomplete", err)
-	}
-
-	// Merging it anyway trips the replay-only guard instead of silently
+	// Merging it trips the replay-only guard instead of silently
 	// re-executing the lost runs.
-	if _, err := MergeShards(spec, ExperimentE1, inject.ModeAuto, []*journal.Log{full[0], truncated}); err == nil ||
+	if _, err := MergeShards(Config{Spec: spec}, []*journal.Log{full[0], truncated}, ExperimentE1); err == nil ||
 		!strings.Contains(err.Error(), "replay-only") {
 		t.Fatalf("MergeShards(truncated) = %v, want replay-only error", err)
 	}
 
-	// Re-uploading the complete shard journal recovers byte-identical
-	// tables.
+	// Adding the complete shard journal recovers byte-identical tables.
 	t7, t8 := mergeE1(t, spec, []*journal.Log{full[0], truncated, full[1]})
 	if t7 != wantT7 || t8 != wantT8 {
 		t.Fatal("recovered merged tables differ from the single-process run")
 	}
 }
 
-func TestLeaseExpiryReclaimMergesByteIdentical(t *testing.T) {
+// TestPartialShardPlusRerunMergesByteIdentical merges a shard journal
+// cut partway through, a complete re-run of the same cases and the
+// other shard: the overlapping records dedup, and the tables are
+// byte-identical to the single-process campaign.
+func TestPartialShardPlusRerunMergesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a scaled campaign several times")
 	}
 	spec := shardTestSpec(737373)
 	wantT7, wantT8 := e1Baseline(t, spec)
 
-	shards, err := PlanShards(spec, ExperimentE1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Worker a claims shard 0 and dies mid-shard, leaving a partial
-	// journal; after the lease expires, worker b reclaims shard 0 and
-	// re-executes it in full.
-	board := NewShardBoard("c", ExperimentE1, shards, testLease, nil)
-	base := testBase()
-	if sh, ok, _ := board.Claim("a", base); !ok || sh.Index != 0 {
-		t.Fatal("worker a could not claim shard 0")
-	}
-	full0 := runE1Shard(t, spec, shards[0])
+	full0 := runE1Shard(t, spec, []int{0, 1})
 	partial0 := &journal.Log{
 		Headers:   full0.Headers,
 		Runs:      full0.Runs[:len(full0.Runs)/3],
 		Truncated: true,
 	}
-	reclaimed := board.ReclaimExpired(base.Add(2 * testLease))
-	if len(reclaimed) != 1 || reclaimed[0].Index != 0 {
-		t.Fatalf("ReclaimExpired = %+v, want shard 0", reclaimed)
-	}
-	if sh, ok, _ := board.Claim("b", base.Add(2*testLease)); !ok || sh.Index != 0 {
-		t.Fatal("worker b could not reclaim shard 0")
-	}
-	redone0 := runE1Shard(t, spec, shards[0])
-	log1 := runE1Shard(t, spec, shards[1])
+	rerun0 := runE1Shard(t, spec, []int{0, 1})
+	log1 := runE1Shard(t, spec, []int{2, 3})
 
-	// The merge sees a's partial upload AND b's complete re-execution:
-	// overlapping records dedup, and the tables are byte-identical to
-	// the single-process campaign.
-	res, err := MergeShards(spec, ExperimentE1, inject.ModeAuto, []*journal.Log{partial0, redone0, log1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Table7(res.E1) != wantT7 || Table8(res.E1) != wantT8 {
-		t.Fatal("lease-reclaim merged tables differ from the single-process run")
+	t7, t8 := mergeE1(t, spec, []*journal.Log{partial0, rerun0, log1})
+	if t7 != wantT7 || t8 != wantT8 {
+		t.Fatal("partial-plus-rerun merged tables differ from the single-process run")
 	}
 }
 
@@ -240,19 +188,16 @@ func TestMergedE2MatchesSingleProcess(t *testing.T) {
 	}
 	want := Table9(base)
 
-	shards, err := PlanShards(spec, ExperimentE2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := [][]int{{0, 1}, {2, 3}}
 	logs := make([]*journal.Log, len(shards))
-	for i, sh := range shards {
+	for i, cases := range shards {
 		path := filepath.Join(t.TempDir(), "shard.jsonl")
 		w, err := journal.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := Config{Spec: spec, Exec: Exec{Workers: 2, Journal: w}}
-		cfg.Cases = sh.Cases
+		cfg.Cases = cases
 		if _, err := RunE2(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -262,11 +207,8 @@ func TestMergedE2MatchesSingleProcess(t *testing.T) {
 		if logs[i], err = journal.Load(path); err != nil {
 			t.Fatal(err)
 		}
-		if err := ValidateShardJournal(spec, ExperimentE2, sh, inject.ModeSnapshot.String(), logs[i]); err != nil {
-			t.Fatalf("shard %d journal invalid: %v", sh.Index, err)
-		}
 	}
-	res, err := MergeShards(spec, ExperimentE2, inject.ModeAuto, []*journal.Log{logs[1], logs[0]})
+	res, err := MergeShards(Config{Spec: spec}, []*journal.Log{logs[1], logs[0]}, ExperimentE2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,25 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
 	"easig/internal/inject"
-	"easig/internal/journal"
 	"easig/internal/target"
 )
 
 // The runner/reporter split: campaigns produce Results, and a Reporter
 // — a Format (how results render) paired with an Output (where the
-// rendering goes) — turns them into the paper's tables. fic and the
-// ficd service both render through this one path, so the text a CI job
-// diffs, the body an HTTP client downloads and the tables an operator
-// reads in a terminal are byte-identical by construction.
+// rendering goes) — turns them into the paper's tables. A campaign, a
+// resumed campaign and a merge of shard journals (fic merge) all render
+// through this one path, so the text a CI job diffs and the tables an
+// operator reads in a terminal are byte-identical by construction.
 
 // Results bundles the outputs of a campaign (one or both experiments)
 // with the Spec that produced them — everything a Format needs to
 // render the paper's tables, and nothing about how the runs were
-// executed or distributed.
+// executed or sharded.
 type Results struct {
 	// Spec is the campaign protocol the results were measured under.
 	Spec Spec `json:"spec"`
@@ -30,16 +28,12 @@ type Results struct {
 	// E2 holds the Table 9 aggregates when E2 (or the exhaustive
 	// census) ran.
 	E2 *E2Result `json:"-"`
-	// Journal, when non-nil, is the campaign's run journal (for a
-	// distributed campaign: the merged shard journals). JournalFormat
-	// renders it; the table formats ignore it.
-	Journal *journal.Log `json:"-"`
 }
 
 // Format renders Results in one concrete representation.
 type Format interface {
-	// Name identifies the format ("text", "json", "journal") — the
-	// value of fic's -format flag and ficd's ?format query parameter.
+	// Name identifies the format ("text" or "json") — the value of
+	// fic's -format flag.
 	Name() string
 	// Render writes the formatted results to w.
 	Render(w io.Writer, r *Results) error
@@ -73,8 +67,8 @@ func (rep Reporter) Report(r *Results) error {
 // breakdown for E1, Table 9 (plus the measured-Pdetect and runner lines
 // of an exhaustive census) for E2, then the headline block and, when
 // both experiments ran, the analytical model fit. The byte-for-byte
-// stability of this rendering is what lets the CI smoke job diff a
-// distributed campaign's merged tables against a single-process run.
+// stability of this rendering is what lets the CI shard-smoke job diff
+// a sharded campaign's merged tables against a single-process run.
 type TextFormat struct{}
 
 // Name returns "text".
@@ -130,61 +124,19 @@ func (JSONFormat) Render(w io.Writer, r *Results) error {
 	return WriteJSON(w, r.E1, r.E2)
 }
 
-// JournalFormat renders Results.Journal as JSONL journal lines —
-// headers, then run records, then shard-ledger claims. This is the
-// format behind ficd's journal download endpoint: a client can fetch a
-// distributed campaign's merged journal and replay it locally with
-// `fic -resume`. Within each kind, file order is preserved (which is
-// all replay requires: Lookup is order-insensitive for runs, and claims
-// replay latest-wins per shard).
-type JournalFormat struct{}
-
-// Name returns "journal".
-func (JournalFormat) Name() string { return "journal" }
-
-// Render writes the journal lines.
-func (JournalFormat) Render(w io.Writer, r *Results) error {
-	if r.Journal == nil {
-		return fmt.Errorf("experiment: results carry no journal to render")
-	}
-	enc := json.NewEncoder(w)
-	for _, h := range r.Journal.Headers {
-		h.Kind = journal.KindHeader
-		if err := enc.Encode(h); err != nil {
-			return err
-		}
-	}
-	for _, rec := range r.Journal.Runs {
-		rec.Kind = journal.KindRun
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	for _, c := range r.Journal.Claims {
-		if err := enc.Encode(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseFormat resolves a format name ("text", "json", "journal"/
-// "jsonl") to its Format.
+// ParseFormat resolves a format name ("text" or "json") to its Format.
 func ParseFormat(name string) (Format, error) {
 	switch name {
 	case "", "text":
 		return TextFormat{}, nil
 	case "json":
 		return JSONFormat{}, nil
-	case "journal", "jsonl":
-		return JournalFormat{}, nil
 	default:
-		return nil, fmt.Errorf("experiment: unknown report format %q (want text, json or journal)", name)
+		return nil, fmt.Errorf("experiment: unknown report format %q (want text or json)", name)
 	}
 }
 
-// WriterOutput emits to an io.Writer — stdout, a buffer, or an HTTP
-// response.
+// WriterOutput emits to an io.Writer — stdout or a buffer.
 type WriterOutput struct{ W io.Writer }
 
 // Emit renders into the writer.

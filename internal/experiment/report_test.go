@@ -4,25 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"easig/internal/journal"
 	"easig/internal/target"
 )
 
 func TestParseFormat(t *testing.T) {
-	for name, want := range map[string]string{
-		"": "text", "text": "text", "json": "json",
-		"journal": "journal", "jsonl": "journal",
-	} {
+	for name, want := range map[string]string{"": "text", "text": "text", "json": "json"} {
 		f, err := ParseFormat(name)
 		if err != nil || f.Name() != want {
 			t.Errorf("ParseFormat(%q) = %v, %v; want %s", name, f, err, want)
 		}
 	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Fatal("ParseFormat accepted xml")
+	for _, name := range []string{"xml", "journal", "jsonl"} {
+		if _, err := ParseFormat(name); err == nil {
+			t.Errorf("ParseFormat accepted %s", name)
+		}
 	}
 }
 
@@ -73,36 +70,6 @@ func TestTextFormatMatchesFicOutput(t *testing.T) {
 	}
 	if js.String() != wantJS.String() {
 		t.Fatal("JSONFormat diverges from WriteJSON")
-	}
-}
-
-func TestJournalFormatRoundTrips(t *testing.T) {
-	spec := shardTestSpec(13)
-	log := fakeShardJournal(spec, ExperimentE1, []int{0}, "snapshot")
-	log.Claims = []journal.Claim{{Kind: journal.KindClaim, Campaign: "c", Shard: 0, Worker: "w"}}
-
-	path := filepath.Join(t.TempDir(), "out.jsonl")
-	rep := Reporter{Format: JournalFormat{}, Output: FileOutput{Path: path}}
-	if err := rep.Report(&Results{Spec: spec, Journal: log}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := journal.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Headers) != 1 || len(loaded.Runs) != len(log.Runs) || len(loaded.Claims) != 1 {
-		t.Fatalf("round-tripped journal has %d headers %d runs %d claims, want 1 %d 1",
-			len(loaded.Headers), len(loaded.Runs), len(loaded.Claims), len(log.Runs))
-	}
-	if loaded.Truncated {
-		t.Fatal("round-tripped journal flagged truncated")
-	}
-
-	// Without a journal the format refuses rather than writing nothing.
-	var buf bytes.Buffer
-	err = (Reporter{Format: JournalFormat{}, Output: WriterOutput{W: &buf}}).Report(&Results{Spec: spec})
-	if err == nil || !strings.Contains(err.Error(), "no journal") {
-		t.Fatalf("JournalFormat without journal = %v, want no-journal error", err)
 	}
 }
 

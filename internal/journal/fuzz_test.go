@@ -18,6 +18,7 @@ import (
 // FuzzRead checks the one-pass Read against readTwoPass, the two-pass
 // reader it replaced: for any bytes both return equal logs, or both
 // return an error. The corpus covers the writers' own line shapes, the
+// retired shard-ledger kinds both readers skip (shard_ledger), the
 // lines that must leave the prefix fast path (reordered keys, a
 // duplicate "kind" key, a mid-line cut, blank lines and a mistyped
 // final line) and the run lines the run-line decoder must leave to
@@ -82,12 +83,6 @@ func readTwoPass(r io.Reader) (*Log, error) {
 				return nil, fmt.Errorf("line %d: %w", i+1, err)
 			}
 			log.Runs = append(log.Runs, r)
-		case KindClaim, KindShardDone:
-			var c Claim
-			if err := json.Unmarshal(line, &c); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			log.Claims = append(log.Claims, c)
 		case KindProbe:
 			var p Probe
 			if err := json.Unmarshal(line, &p); err != nil {
@@ -108,8 +103,8 @@ func readTwoPass(r io.Reader) (*Log, error) {
 	return log, nil
 }
 
-// FuzzHeaderMatch checks Header.Match, the identity check of resume,
-// shard validation and shard merges: it accepts a journal header
+// FuzzHeaderMatch checks Header.Match, the identity check of resume
+// and shard merges: it accepts a journal header
 // exactly when the header records a protocol and its protocol bytes and
 // engine equal the live header's, and every refusal names what
 // differs: the missing protocol, each top-level protocol field that

@@ -31,12 +31,10 @@
 // different campaign configuration is refused instead of silently
 // polluting the tables.
 //
-// The same format carries the distributed campaign protocol
-// (SERVICE.md): Claim lines record shard leases and completions in the
-// ficd service's shard ledger, and Merge folds the shard journals of a
-// campaign executed across worker processes back into one logical
-// journal whose replay renders the single-process tables byte for
-// byte.
+// A campaign can also run as shards, each journaling its test cases to
+// its own file (fic -cases); Merge folds the shard journals back into
+// one logical journal whose replay renders the single-process tables
+// byte for byte.
 package journal
 
 import (
@@ -57,14 +55,6 @@ const (
 	KindHeader = "header"
 	// KindRun marks a completed-run record line.
 	KindRun = "run"
-	// KindClaim marks a shard-claim (or lease-renewal) line of the
-	// distributed campaign protocol: a worker holds a lease on a block
-	// of test cases (see SERVICE.md). Appending a new claim for the
-	// same shard renews or reassigns the lease; the latest line wins.
-	KindClaim = "claim"
-	// KindShardDone marks a shard-completion line: the shard's journal
-	// has been uploaded and validated, and its lease is retired.
-	KindShardDone = "shard_done"
 	// KindProbe marks one optimizer probe record: the per-node,
 	// per-assertion first-violation profile of one (error, test case)
 	// that `fic optimize` scores every configuration of the lattice
@@ -79,8 +69,8 @@ const (
 )
 
 // Header is the campaign identification line written when a campaign
-// starts (and again when it is resumed). Resume, shard validation and
-// shard merges compare it with Match before any record is replayed.
+// starts (and again when it is resumed). Resume and shard merges
+// compare it with Match before any record is replayed.
 type Header struct {
 	// Kind is KindHeader.
 	Kind string `json:"kind"`
@@ -104,7 +94,7 @@ type Header struct {
 // Match returns why records under h, a journal's header, cannot stand
 // for records under want: h names no protocol (an older build wrote
 // it), another protocol, or another engine. It is the one identity
-// check of resume, shard validation and shard merges, so no journal
+// check of resume and shard merges, so no journal
 // puts one protocol's outcomes into another protocol's tables. The
 // engines are equivalence-tested, but a mixed-provenance table could
 // no longer be attributed to either, so the engine must match too.
@@ -185,38 +175,6 @@ type Record struct {
 	// ByTest counts violations per assertion kind (core.TestID keys,
 	// the Table 2/3 constraint that fired).
 	ByTest map[int]int `json:"by_test,omitempty"`
-}
-
-// Claim is one line of the shard-claim/lease protocol that distributes
-// a campaign across worker processes (the `ficd` service, SERVICE.md).
-// The shard ledger is an append-only event log in the same JSONL
-// journal format as run records, so the existing writer (single
-// drainer goroutine, line-aligned batches) and loader (truncation
-// tolerance) carry the distributed protocol unchanged. The ledger is
-// replayed in file order to recover the shard state machine after a
-// service restart: for each shard the latest claim line names the
-// lease holder and expiry, and a shard_done line retires the shard.
-type Claim struct {
-	// Kind is KindClaim or KindShardDone.
-	Kind string `json:"kind"`
-	// Experiment names the campaign the shard belongs to.
-	Experiment string `json:"experiment,omitempty"`
-	// Campaign is the service-assigned campaign identifier.
-	Campaign string `json:"campaign,omitempty"`
-	// Shard is the shard index in the campaign's shard plan.
-	Shard int `json:"shard"`
-	// Cases lists the grid case indices the shard covers.
-	Cases []int `json:"cases,omitempty"`
-	// Worker identifies the lease holder.
-	Worker string `json:"worker,omitempty"`
-	// GrantedMs is the grant (or renewal) wall-clock time in Unix
-	// milliseconds.
-	GrantedMs int64 `json:"granted_ms,omitempty"`
-	// LeaseMs is the lease duration from GrantedMs; a shard whose
-	// latest claim has expired is reclaimable by any worker.
-	LeaseMs int64 `json:"lease_ms,omitempty"`
-	// Runs is the shard's validated run count (shard_done lines only).
-	Runs int `json:"runs,omitempty"`
 }
 
 // Probe is one optimizer probe record: for one (error, test case) the
@@ -304,9 +262,6 @@ type Log struct {
 	Headers []Header
 	// Runs lists the completed-run records.
 	Runs []Record
-	// Claims lists the shard-claim and shard-done lines of a service
-	// shard ledger, in file order (replay order for lease recovery).
-	Claims []Claim
 	// Probes lists the optimizer probe records of a lattice sweep.
 	Probes []Probe
 	// Costs lists the optimizer cost calibrations (one per sweep start).
@@ -332,10 +287,11 @@ func Load(path string) (*Log, error) {
 	return log, nil
 }
 
-// Read parses a journal from a stream — the path a shard journal takes
-// when a worker uploads it over HTTP (SERVICE.md) instead of leaving it
-// on local disk. Semantics match Load: a malformed final line is
-// dropped and flagged Truncated, a malformed interior line is an error.
+// Read parses a journal from a stream. Semantics match Load: a
+// malformed final line is dropped and flagged Truncated, a malformed
+// interior line is an error. Lines of a kind this package does not
+// know — a retired kind such as the shard-ledger "claim" lines older
+// builds wrote, or a future one — are skipped.
 //
 // Lines are decoded one at a time, straight off the scanner: every
 // writer emits "kind" as its first key, so the kind is read off the
@@ -398,7 +354,7 @@ func sniffKind(line []byte) string {
 	if end < 0 {
 		return ""
 	}
-	for _, kind := range [...]string{KindHeader, KindRun, KindClaim, KindShardDone, KindProbe, KindCost} {
+	for _, kind := range [...]string{KindHeader, KindRun, KindProbe, KindCost} {
 		if string(rest[:end]) == kind {
 			return kind
 		}
@@ -407,7 +363,7 @@ func sniffKind(line []byte) string {
 }
 
 // maxPresizedRuns caps the Runs capacity Read reserves from a header's
-// total_runs, which an uploaded shard journal could inflate.
+// total_runs, which a corrupt or hand-edited journal could inflate.
 const maxPresizedRuns = 1 << 17
 
 // errKindMismatch reports a line whose decoded kind is not the one its
@@ -444,12 +400,6 @@ func (l *Log) decode(kind string, line []byte, want string) error {
 			l.Runs = make([]Record, 0, min(max(l.Headers[0].Total, 1), maxPresizedRuns))
 		}
 		l.Runs = append(l.Runs, r)
-	case KindClaim, KindShardDone:
-		var c Claim
-		if err := unmarshalKind(line, &c, &c.Kind, want); err != nil {
-			return err
-		}
-		l.Claims = append(l.Claims, c)
 	case KindProbe:
 		var p Probe
 		if err := unmarshalKind(line, &p, &p.Kind, want); err != nil {
@@ -540,19 +490,18 @@ func (l *Log) Lookup(experiment string) map[Key]*Record {
 }
 
 // Merge combines shard journals into one logical campaign journal — the
-// reduce step of a distributed campaign (SERVICE.md): each worker
-// process journals its shard's runs locally, and the service merges the
-// uploaded shard journals before replaying them into the Table 7-9
-// aggregators.
+// reduce step of a sharded campaign (fic merge): each shard journals
+// its runs to its own file, and the merged journal is replayed into the
+// Table 7-9 aggregators.
 //
-// Every experiment's headers must Match (they were recorded by workers
-// executing the same Spec); the merged header sums the shard totals. Duplicate run records — a shard
-// re-executed after a lease expired under a worker that had in fact
-// completed it — are tolerated: the determinism contract
+// Every experiment's headers must Match (they were recorded by shards
+// of the same protocol); the merged header sums the shard totals.
+// Duplicate run records — a shard re-executed after it was cut, or
+// passed twice — are tolerated: the determinism contract
 // (seed = f(campaign seed, case)) makes every re-execution of a run
 // byte-identical, so the merge keeps the last occurrence, matching
 // Lookup's resume semantics. Merge order therefore cannot change a
-// table cell; out-of-order shard completion is the normal case.
+// table cell.
 func Merge(logs ...*Log) (*Log, error) {
 	merged := &Log{}
 	runs := 0
@@ -584,7 +533,6 @@ func Merge(logs ...*Log) (*Log, error) {
 			have.Total += h.Total
 		}
 		merged.Runs = append(merged.Runs, l.Runs...)
-		merged.Claims = append(merged.Claims, l.Claims...)
 		if l.Truncated {
 			merged.Truncated = true
 		}

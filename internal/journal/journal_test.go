@@ -116,6 +116,24 @@ func TestLoadRejectsMalformedInteriorLine(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("error does not locate the bad line: %v", err)
 	}
+
+	// Interior lines of a retired kind — the shard-ledger claim and
+	// shard_done lines older builds wrote — are skipped, not an error,
+	// so such journals still load.
+	content = `{"kind":"header","experiment":"E1"}` + "\n" +
+		`{"kind":"claim","experiment":"E1","campaign":"c1","shard":2,"cases":[2,3],"worker":"w1","granted_ms":1000,"lease_ms":30000}` + "\n" +
+		`{"kind":"shard_done","experiment":"E1","campaign":"c1","shard":2,"worker":"w1","runs":224}` + "\n" +
+		`{"kind":"run","experiment":"E1","seed":3}` + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, err := Load(path)
+	if err != nil {
+		t.Fatalf("journal with retired-kind lines refused: %v", err)
+	}
+	if len(log.Headers) != 1 || len(log.Runs) != 1 || log.Runs[0].Seed != 3 || log.Truncated {
+		t.Errorf("journal with retired-kind lines read as %+v", log)
+	}
 }
 
 func TestOpenAppends(t *testing.T) {
@@ -222,44 +240,7 @@ func TestOpenRepairsTruncatedTail(t *testing.T) {
 	}
 }
 
-func TestClaimRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	w, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Claim(Claim{Experiment: "E1", Campaign: "c1", Shard: 2, Cases: []int{2}, Worker: "w1", GrantedMs: 1000, LeaseMs: 30000}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Claim(Claim{Experiment: "E1", Campaign: "c1", Shard: 2, Cases: []int{2}, Worker: "w2", GrantedMs: 40000, LeaseMs: 30000}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.ShardDone(Claim{Experiment: "E1", Campaign: "c1", Shard: 2, Worker: "w2", Runs: 224}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	log, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(log.Claims) != 3 {
-		t.Fatalf("got %d claim lines, want 3", len(log.Claims))
-	}
-	if log.Claims[0].Kind != KindClaim || log.Claims[0].Worker != "w1" || log.Claims[0].Cases[0] != 2 {
-		t.Errorf("claim 0 round-trip: %+v", log.Claims[0])
-	}
-	if log.Claims[1].Worker != "w2" || log.Claims[1].GrantedMs != 40000 {
-		t.Errorf("renewal round-trip: %+v", log.Claims[1])
-	}
-	if done := log.Claims[2]; done.Kind != KindShardDone || done.Runs != 224 {
-		t.Errorf("shard_done round-trip: %+v", done)
-	}
-}
-
-// TestMergeShardJournals exercises the reduce step of a distributed
+// TestMergeShardJournals exercises the reduce step of a sharded
 // campaign: shard journals merged out of order, with duplicate records
 // from a re-executed shard, must agree on headers and keep Lookup's
 // last-wins dedup semantics.
@@ -276,8 +257,8 @@ func TestMergeShardJournals(t *testing.T) {
 	b := shard(2,
 		Record{Experiment: "E1", Version: 8, ErrIdx: 0, CaseIdx: 1, Seed: 12},
 		Record{Experiment: "E1", Version: 8, ErrIdx: 1, CaseIdx: 1, Seed: 12, Failed: true})
-	// A duplicate of one of a's runs, as a reclaimed-lease re-execution
-	// would upload; determinism makes the payload identical.
+	// A duplicate of one of a's runs, as a re-executed shard journals
+	// it; determinism makes the payload identical.
 	dup := shard(1,
 		Record{Experiment: "E1", Version: 8, ErrIdx: 0, CaseIdx: 0, Seed: 11, Detected: true})
 

@@ -212,20 +212,6 @@ func (w *Writer) Cost(c Cost) error {
 	return w.send(c)
 }
 
-// Claim appends one shard-claim line (lease grant or renewal) to a
-// service shard ledger.
-func (w *Writer) Claim(c Claim) error {
-	c.Kind = KindClaim
-	return w.send(c)
-}
-
-// ShardDone appends one shard-completion line to a service shard
-// ledger.
-func (w *Writer) ShardDone(c Claim) error {
-	c.Kind = KindShardDone
-	return w.send(c)
-}
-
 // Close drains pending lines, closes the file and returns the first
 // write error. It is idempotent and safe to call concurrently with
 // senders: the channel is closed under the same lock send holds.

@@ -9,9 +9,8 @@ import (
 	"sync"
 )
 
-// HTTP API of the sigmond service. Mirrors the ficd service idioms
-// (method+path mux patterns, JSON envelopes); SIGMOND.md is the
-// reference.
+// HTTP API of the sigmond service: method+path mux patterns and JSON
+// envelopes; SIGMOND.md is the reference.
 //
 //	GET  /healthz                      liveness
 //	POST /api/v1/ingest                binary sample batches (wire format)
