@@ -6,7 +6,8 @@
 // Usage:
 //
 //	arrest [-mass kg] [-velocity m/s] [-seed n] [-version all|ea1..ea7|none]
-//	       [-error S1..S112] [-observe ms] [-csv] [-every ms]
+//	       [-error S1..S112] [-observe ms] [-dump]
+//	arrest -csv [-every ms] [-mass kg] [-velocity m/s] [-seed n] [-version v] [-observe ms]
 package main
 
 import (
@@ -20,25 +21,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "arrest:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		mass     = flag.Float64("mass", 14000, "aircraft mass in kg (8000-20000)")
-		velocity = flag.Float64("velocity", 55, "engagement velocity in m/s (40-70)")
-		seed     = flag.Int64("seed", 1, "sensor-noise seed")
-		version  = flag.String("version", "all", "software version: all, ea1..ea7, none")
-		errID    = flag.String("error", "", "inject error S1..S112 from error set E1")
-		observe  = flag.Int64("observe", 40000, "observation period in ms")
-		csvOut   = flag.Bool("csv", false, "stream monitored signals as CSV to stdout")
-		every    = flag.Int64("every", 7, "CSV sampling period in ms")
-		dump     = flag.Bool("dump", false, "hex-dump the master node memory after the run")
+		mass     = fs.Float64("mass", 14000, "aircraft mass in kg (8000-20000)")
+		velocity = fs.Float64("velocity", 55, "engagement velocity in m/s (40-70)")
+		seed     = fs.Int64("seed", 1, "sensor-noise seed")
+		version  = fs.String("version", "all", "software version: all, ea1..ea7, none")
+		errID    = fs.String("error", "", "inject error S1..S112 from error set E1")
+		observe  = fs.Int64("observe", 40000, "observation period in ms")
+		csvOut   = fs.Bool("csv", false, "stream monitored signals as CSV to stdout")
+		every    = fs.Int64("every", 7, "CSV sampling period in ms")
+		dump     = fs.Bool("dump", false, "hex-dump the master node memory after the run")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	switch {
+	case *csvOut && *errID != "":
+		return fmt.Errorf("-csv streams the fault-free trace: it cannot inject -error %s", *errID)
+	case *csvOut && *dump:
+		return fmt.Errorf("-csv and -dump are exclusive: each writes its own output to stdout")
+	}
 
 	ver, err := parseVersion(*version)
 	if err != nil {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseVersion(t *testing.T) {
 	tests := []struct {
@@ -25,6 +28,23 @@ func TestParseVersion(t *testing.T) {
 		}
 		if err == nil && int(got) != tt.want {
 			t.Errorf("parseVersion(%q) = %d, want %d", tt.in, got, tt.want)
+		}
+	}
+}
+
+// -csv writes the fault-free trace and nothing else, so asking it to
+// inject an error or to dump memory must be refused, not ignored.
+func TestCSVRefusesErrorAndDump(t *testing.T) {
+	for _, tt := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-csv", "-error", "S5"}, "cannot inject -error S5"},
+		{[]string{"-csv", "-dump"}, "-csv and -dump are exclusive"},
+	} {
+		err := run(tt.args)
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tt.args, err, tt.want)
 		}
 	}
 }

@@ -77,10 +77,11 @@ import (
 	"syscall"
 	"time"
 
-	"easig"
+	"easig/internal/core"
 	"easig/internal/experiment"
 	"easig/internal/inject"
 	"easig/internal/journal"
+	"easig/internal/target"
 )
 
 func main() {
@@ -194,33 +195,33 @@ func run(args []string) error {
 	switch *printF {
 	case "":
 	case "table4":
-		fmt.Println(easig.Table4())
+		fmt.Println(experiment.Table4())
 		return nil
 	case "table6":
-		fmt.Println(easig.Table6(*grid * *grid))
+		fmt.Println(experiment.Table6(*grid * *grid))
 		return nil
 	case "figure2":
-		fmt.Println(easig.Figure2(72, 12, *seed))
+		fmt.Println(experiment.Figure2(72, 12, *seed))
 		return nil
 	default:
 		return fmt.Errorf("unknown -print target %q", *printF)
 	}
 
-	var rp easig.RecoveryPolicy
+	var rp core.RecoveryPolicy
 	switch *recovery {
 	case "none":
-		rp = easig.NoRecovery{}
+		rp = core.NoRecovery{}
 	case "previous":
-		rp = easig.PreviousValue{}
+		rp = core.PreviousValue{}
 	default:
 		return fmt.Errorf("unknown -recovery %q (want none or previous)", *recovery)
 	}
-	var placement easig.Placement
+	var placement target.Placement
 	switch *placementF {
 	case "consumer":
-		placement = easig.PlacementConsumer
+		placement = target.PlacementConsumer
 	case "producer":
-		placement = easig.PlacementProducer
+		placement = target.PlacementProducer
 	default:
 		return fmt.Errorf("unknown -placement %q (want consumer or producer)", *placementF)
 	}
@@ -231,12 +232,12 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	mode, err := easig.ParseEngineMode(*engineF)
+	mode, err := inject.ParseMode(*engineF)
 	if err != nil {
 		return err
 	}
 
-	format, err := easig.ParseReportFormat(*formatF)
+	format, err := experiment.ParseFormat(*formatF)
 	if err != nil {
 		return err
 	}
@@ -284,8 +285,8 @@ func run(args []string) error {
 		}()
 	}
 
-	cfg := easig.CampaignConfig{
-		Spec: easig.CampaignSpec{
+	cfg := experiment.Config{
+		Spec: experiment.Spec{
 			Grid:          *grid,
 			Seed:          *seed,
 			ObservationMs: *observe,
@@ -293,7 +294,7 @@ func run(args []string) error {
 			Placement:     placement,
 			Cases:         cases,
 		},
-		Exec: easig.CampaignExec{
+		Exec: experiment.Exec{
 			Mode:     mode,
 			Workers:  *workers,
 			Recovery: rp,
@@ -302,10 +303,10 @@ func run(args []string) error {
 	}
 	if exp == "exhaustive" {
 		cfg.Exhaustive = true
-		if mode == easig.EngineAuto {
+		if mode == inject.ModeAuto {
 			// Pruning + memoization is what makes the full fault space
 			// affordable; auto means memo here.
-			cfg.Mode = easig.EngineMemo
+			cfg.Mode = inject.ModeMemo
 		}
 	}
 
@@ -328,12 +329,12 @@ func run(args []string) error {
 
 	if *verify {
 		fmt.Fprintln(os.Stderr, "fic: verifying the fault-free grid...")
-		if err := easig.VerifyNominal(cfg); err != nil {
+		if err := experiment.VerifyNominal(cfg); err != nil {
 			return fmt.Errorf("nominal verification failed: %w", err)
 		}
 	}
 
-	var res *easig.CampaignResults
+	var res *experiment.Results
 	if merge {
 		if res, err = mergeShards(cfg, fs.Args(), exps); err != nil {
 			return err
@@ -344,12 +345,12 @@ func run(args []string) error {
 	// All result rendering goes through the shared reporter path, so a
 	// merged campaign's tables are byte-identical to a single-process
 	// campaign's output by construction.
-	rep := easig.CampaignReporter{Format: format, Output: easig.StdWriter{W: os.Stdout}}
+	rep := experiment.Reporter{Format: format, Output: experiment.WriterOutput{W: os.Stdout}}
 	if err := rep.Report(res); err != nil {
 		return err
 	}
 	if *metricsF {
-		var ms []easig.CampaignMetrics
+		var ms []journal.Metrics
 		if res.E1 != nil {
 			ms = append(ms, res.E1.Metrics)
 		}
@@ -361,7 +362,7 @@ func run(args []string) error {
 		}
 	}
 	if *jsonPath != "" {
-		rep := easig.CampaignReporter{Format: easig.JSONReport{}, Output: easig.FileReport{Path: *jsonPath}}
+		rep := experiment.Reporter{Format: experiment.JSONFormat{}, Output: experiment.FileOutput{Path: *jsonPath}}
 		if err := rep.Report(res); err != nil {
 			return fmt.Errorf("writing %s: %w", *jsonPath, err)
 		}
@@ -377,23 +378,23 @@ func run(args []string) error {
 
 // runCampaign runs cfg's campaign for the named experiments in order,
 // with a running and a done line on stderr for each.
-func runCampaign(cfg easig.CampaignConfig, exps []string) (*easig.CampaignResults, error) {
+func runCampaign(cfg experiment.Config, exps []string) (*experiment.Results, error) {
 	nCases := len(cfg.Cases)
 	if nCases == 0 {
 		nCases = cfg.Grid * cfg.Grid
 	}
-	res := &easig.CampaignResults{Spec: cfg.Spec}
+	res := &experiment.Results{Spec: cfg.Spec}
 	for _, exp := range exps {
 		began := time.Now()
 		label := "E1"
 		var (
-			m   easig.CampaignMetrics
+			m   journal.Metrics
 			err error
 		)
 		switch exp {
 		case experiment.ExperimentE1:
 			fmt.Fprintf(os.Stderr, "fic: running E1 (%d errors x %d cases x 8 versions)...\n", 112, nCases)
-			if res.E1, err = easig.RunE1(cfg); err == nil {
+			if res.E1, err = experiment.RunE1(cfg); err == nil {
 				m = res.E1.Metrics
 			}
 		default:
@@ -403,7 +404,7 @@ func runCampaign(cfg easig.CampaignConfig, exps []string) (*easig.CampaignResult
 				label, nErrors = "exhaustive E2", inject.ExhaustiveSize
 			}
 			fmt.Fprintf(os.Stderr, "fic: running %s (%d errors x %d cases)...\n", label, nErrors, nCases)
-			if res.E2, err = easig.RunE2(cfg); err == nil {
+			if res.E2, err = experiment.RunE2(cfg); err == nil {
 				m = res.E2.Metrics
 			}
 		}
@@ -423,7 +424,7 @@ func runCampaign(cfg easig.CampaignConfig, exps []string) (*easig.CampaignResult
 // the results of cfg's campaign for the named experiments
 // (experiment.MergeShards, which refuses an incomplete or foreign
 // shard set).
-func mergeShards(cfg easig.CampaignConfig, paths, exps []string) (*easig.CampaignResults, error) {
+func mergeShards(cfg experiment.Config, paths, exps []string) (*experiment.Results, error) {
 	logs := make([]*journal.Log, len(paths))
 	for i, path := range paths {
 		log, err := journal.Load(path)

@@ -36,23 +36,18 @@
 // campaign controller with error sets E1 and E2, and the harness
 // regenerating Tables 6-9 and Figure 2. Campaigns journal every run,
 // report live progress, and resume from their journal after an
-// interruption with byte-identical tables (CampaignConfig.Journal /
-// Resume / Progress). Results render through a pluggable
-// reporter (CampaignReporter: a ReportFormat paired with a
-// ReportOutput). See the cmd/fic and cmd/arrest tools, the examples
-// directory, EXPERIMENTS.md for paper-versus-measured results, and
-// ARCHITECTURE.md for the package map, the run-loop data flow and the
-// determinism contract behind campaign resume and behind sharded
-// campaigns (fic -cases and fic merge), whose merged tables are
-// byte-identical to a single-process run.
+// interruption with byte-identical tables. This package exposes single
+// runs of the case study (NewArrestingSystem, Run, BuildE1); the
+// campaigns run through cmd/fic. See the cmd/fic and cmd/arrest tools,
+// the examples directory, EXPERIMENTS.md for paper-versus-measured
+// results, and ARCHITECTURE.md for the package map, the run-loop data
+// flow and the determinism contract behind campaign resume and behind
+// sharded campaigns (fic -cases and fic merge), whose merged tables
+// are byte-identical to a single-process run.
 //
 // # What this package exports
 //
-// This package is the API of the examples, cmd/arrest, cmd/sigmon and
-// fic's campaign path. It re-exports the names those callers use, the
-// types named in their signatures, and whole families (the versions,
-// engine modes, placements, recovery policies, monitor constructors,
-// table renderers and report formats). The sigmond service, fic
-// optimize, fic merge and the repository benchmark import the internal
-// packages directly; their names are not re-exported here.
+// This package is the library API that the examples, cmd/arrest and
+// cmd/sigmon use; the campaign tools (fic, sigmond and the repository
+// benchmark) import the internal packages.
 package easig

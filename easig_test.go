@@ -1,7 +1,6 @@
 package easig_test
 
 import (
-	"strings"
 	"testing"
 
 	"easig"
@@ -54,26 +53,9 @@ func TestPublicDiscreteFlow(t *testing.T) {
 }
 
 func TestPublicClasses(t *testing.T) {
-	if len(easig.Classes()) != 6 {
-		t.Fatal("six leaf classes expected")
-	}
 	c, err := easig.ParseClass("Co/Mo/St")
 	if err != nil || c != easig.ContinuousMonotonicStatic {
 		t.Fatalf("ParseClass = (%v, %v)", c, err)
-	}
-}
-
-func TestPublicStatelessChecks(t *testing.T) {
-	p := easig.Continuous{Min: 0, Max: 10, Incr: easig.Rate{Min: 0, Max: 2}, Decr: easig.Rate{Min: 0, Max: 2}}
-	if id, ok := easig.CheckContinuous(p, 5, 8); ok || id != easig.TestIncrease {
-		t.Errorf("CheckContinuous = (%v, %v)", id, ok)
-	}
-	if _, ok := easig.CheckBounds(p, 3); !ok {
-		t.Error("CheckBounds rejected an in-bounds value")
-	}
-	d := easig.NewRandomDomain([]int64{1, 2})
-	if id, ok := easig.CheckDiscrete(d, false, 1, 3); ok || id != easig.TestDomain {
-		t.Errorf("CheckDiscrete = (%v, %v)", id, ok)
 	}
 }
 
@@ -112,27 +94,6 @@ func TestPublicReproductionRun(t *testing.T) {
 func TestPublicErrorSets(t *testing.T) {
 	if got := len(easig.BuildE1()); got != 112 {
 		t.Errorf("E1 size = %d", got)
-	}
-	if got := len(easig.BuildE2(1)); got != 200 {
-		t.Errorf("E2 size = %d", got)
-	}
-	if got := len(easig.Versions()); got != 8 {
-		t.Errorf("versions = %d", got)
-	}
-	if got := len(easig.Grid(5)); got != 25 {
-		t.Errorf("grid = %d", got)
-	}
-}
-
-func TestPublicStaticTables(t *testing.T) {
-	if !strings.Contains(easig.Table4(), "Co/Mo/Dy") {
-		t.Error("Table4 facade broken")
-	}
-	if !strings.Contains(easig.Table6(25), "2800") {
-		t.Error("Table6 facade broken")
-	}
-	if !strings.Contains(easig.Figure2(40, 6, 1), "*") {
-		t.Error("Figure2 facade broken")
 	}
 }
 

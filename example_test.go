@@ -56,30 +56,6 @@ func ExampleNewDiscreteMonitor() {
 	// state 3: transition test failed
 }
 
-// The stateless Table 2 engine: one check of a candidate value against
-// a previous value and a parameter set.
-func ExampleCheckContinuous() {
-	p := easig.Continuous{
-		Min:  0,
-		Max:  100,
-		Incr: easig.Rate{Min: 1, Max: 1},
-		Wrap: true,
-	}
-	// A static counter wrapping at 100 (smax identified with smin).
-	for _, step := range [][2]int64{{98, 99}, {99, 0}, {0, 2}} {
-		id, ok := easig.CheckContinuous(p, step[0], step[1])
-		if ok {
-			fmt.Printf("%d -> %d legal\n", step[0], step[1])
-		} else {
-			fmt.Printf("%d -> %d violates %v\n", step[0], step[1], id)
-		}
-	}
-	// Output:
-	// 98 -> 99 legal
-	// 99 -> 0 legal
-	// 0 -> 2 violates increase-rate
-}
-
 // Deriving a parameter-set proposal from a fault-free trace (the
 // calibration workflow behind the target's Table 4 parameters).
 func ExampleContinuousCalibrator() {
@@ -97,30 +73,6 @@ func ExampleContinuousCalibrator() {
 	// Output:
 	// Co/Mo/St
 	// rate 3..3
-}
-
-// A monitor suite with windowed escalation: the third violation within
-// the window raises one alarm for the whole burst.
-func ExampleNewSuite() {
-	suite := easig.NewSuite(easig.WithEscalation(3, 1000, 500, func(a easig.Alarm) {
-		fmt.Printf("ALARM: %d violations within %d ms\n", a.Count, a.Window)
-	}))
-	m, err := easig.NewContinuousMonitor("level", easig.ContinuousRandom,
-		easig.Continuous{Min: 0, Max: 100, Incr: easig.Rate{Min: 0, Max: 2}, Decr: easig.Rate{Min: 0, Max: 2}})
-	if err != nil {
-		panic(err)
-	}
-	if err := suite.Add(m); err != nil {
-		panic(err)
-	}
-	suite.Test(0, "level", 50)
-	for t := int64(10); t <= 40; t += 10 {
-		suite.Test(t, "level", 90) // repeated out-of-rate samples
-	}
-	fmt.Println("episodes:", suite.Alarms())
-	// Output:
-	// ALARM: 3 violations within 1000 ms
-	// episodes: 1
 }
 
 // One fault-injection experiment run on the paper's target: a bit-flip

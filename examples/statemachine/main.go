@@ -31,6 +31,13 @@ const (
 
 var stateName = map[int64]string{v1: "v1", v2: "v2", v3: "v3", v4: "v4", v5: "v5"}
 
+// diagnosis says what each failed Table 3 assertion means for a state
+// variable.
+var diagnosis = map[easig.TestID]string{
+	easig.TestDomain:     "outside D: the stored state is corrupt",
+	easig.TestTransition: "not in T(previous state): an illegal jump",
+}
+
 func main() {
 	params := easig.Discrete{
 		Domain: []int64{v1, v2, v3, v4, v5},
@@ -63,8 +70,8 @@ func main() {
 			fmt.Printf("t=%2d: state %s ok\n", t, name)
 			return
 		}
-		fmt.Printf("t=%2d: state %s REJECTED (%v test) -> recovered to %s\n",
-			t, name, violation.Test, stateName[accepted])
+		fmt.Printf("t=%2d: state %s REJECTED (%v test, %s) -> recovered to %s\n",
+			t, name, violation.Test, diagnosis[violation.Test], stateName[accepted])
 	}
 
 	fmt.Println("walking a legal path: v1 -> v2 -> v4 -> v5 -> v1 -> v4 -> v5")

@@ -59,36 +59,6 @@ func (PreviousValue) RecoverDiscrete(v Violation, p Discrete) int64 {
 	return v.Value
 }
 
-// Clamp limits continuous signals into [smin, smax] (useful when the
-// magnitude matters more than the rate, e.g. actuator commands) and
-// behaves like PreviousValue for discrete signals.
-type Clamp struct{}
-
-var _ RecoveryPolicy = Clamp{}
-
-// RecoverContinuous implements RecoveryPolicy.
-func (Clamp) RecoverContinuous(v Violation, p Continuous) int64 {
-	switch v.Test {
-	case TestMax:
-		return p.Max
-	case TestMin:
-		return p.Min
-	default:
-		// Rate violations: the bounded value is kept if the previous
-		// value is unknown; otherwise fall back to the previous value,
-		// which is always rate-consistent.
-		if v.HasPrev {
-			return v.Prev
-		}
-		return p.Clamp(v.Value)
-	}
-}
-
-// RecoverDiscrete implements RecoveryPolicy.
-func (Clamp) RecoverDiscrete(v Violation, p Discrete) int64 {
-	return PreviousValue{}.RecoverDiscrete(v, p)
-}
-
 // ResetTo recovers every violation to one fixed safe value (a
 // fail-safe state such as "pressure released" or a state machine's
 // initial state).

@@ -44,28 +44,6 @@ func TestPreviousValueRecovery(t *testing.T) {
 	}
 }
 
-func TestClampRecovery(t *testing.T) {
-	p := Continuous{Min: 0, Max: 10}
-	if got := (Clamp{}).RecoverContinuous(Violation{Test: TestMax, Value: 99}, p); got != 10 {
-		t.Errorf("max violation = %d, want 10", got)
-	}
-	if got := (Clamp{}).RecoverContinuous(Violation{Test: TestMin, Value: -5}, p); got != 0 {
-		t.Errorf("min violation = %d, want 0", got)
-	}
-	rate := Violation{Test: TestIncrease, Value: 8, Prev: 2, HasPrev: true}
-	if got := (Clamp{}).RecoverContinuous(rate, p); got != 2 {
-		t.Errorf("rate violation with prev = %d, want 2", got)
-	}
-	rateUnprimed := Violation{Test: TestIncrease, Value: 8}
-	if got := (Clamp{}).RecoverContinuous(rateUnprimed, p); got != 8 {
-		t.Errorf("rate violation unprimed = %d, want 8 (in bounds)", got)
-	}
-	d := NewRandom([]int64{1, 2})
-	if got := (Clamp{}).RecoverDiscrete(Violation{Value: 9, Prev: 2, HasPrev: true}, d); got != 2 {
-		t.Errorf("discrete clamp = %d, want previous-value behaviour", got)
-	}
-}
-
 func TestResetToRecovery(t *testing.T) {
 	r := ResetTo{Value: 7}
 	if got := r.RecoverContinuous(Violation{Value: 99}, Continuous{}); got != 7 {

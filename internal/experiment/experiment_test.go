@@ -117,6 +117,41 @@ func TestRunE2Small(t *testing.T) {
 	}
 }
 
+// Scaled-down seeded E1 campaign: the counter signals must reproduce
+// the shape of the paper's Table 7 — pulscnt, ms_slot_nbr and mscnt are
+// detected for every injected bit position (≈100 % P(d)), while the
+// slew-limited pressure signals stay strictly partial.
+func TestScaledE1CounterCoverage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scaled campaign in -short mode")
+	}
+	res, err := RunE1(Config{Spec: Spec{
+		Grid:          2,
+		ObservationMs: 6000,
+		Seed:          7,
+		Versions:      []target.Version{target.VersionAll},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := map[string]bool{"pulscnt": true, "ms_slot_nbr": true, "mscnt": true}
+	for sig, name := range target.SignalNames() {
+		cov := res.Coverage[sig][0].All
+		if !cov.Valid() {
+			t.Fatalf("signal %s: no runs", name)
+		}
+		if counters[name] && cov.Detected != cov.Total {
+			t.Errorf("counter signal %s: P(d) = %d/%d, want 100%%", name, cov.Detected, cov.Total)
+		}
+	}
+	// The pressure set point is slew-limited: low-order bit errors hide
+	// below the rate constraints, so its coverage must be partial.
+	sv := res.Coverage[0][0].All
+	if sv.Detected == 0 || sv.Detected == sv.Total {
+		t.Errorf("SetValue: P(d) = %d/%d, want strictly partial", sv.Detected, sv.Total)
+	}
+}
+
 func TestTable4Render(t *testing.T) {
 	out := Table4()
 	for _, want := range []string{"SetValue", "V_REG", "Co/Ra", "ms_slot_nbr", "Di/Se/Li", "CLOCK"} {

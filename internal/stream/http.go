@@ -34,11 +34,12 @@ type StreamStatsResponse struct {
 	Samples    uint64 `json:"samples"`
 	Detections uint64 `json:"detections"`
 	Rejected   uint64 `json:"rejected"`
-	// Monitors is the per-assertion breakdown from the live suite.
+	// Monitors is the per-assertion breakdown, sorted by monitor name.
 	Monitors []StreamMonitorStats `json:"monitors"`
 }
 
-// StreamMonitorStats is one monitor's row in StreamStatsResponse.
+// StreamMonitorStats is one monitor's row in StreamStatsResponse and
+// Service.StreamStats.
 type StreamMonitorStats struct {
 	Name       string `json:"name"`
 	Class      string `json:"class"`
@@ -153,22 +154,13 @@ func (s *Service) handleStreamStats(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no samples seen from stream %d", id)
 		return
 	}
-	resp := StreamStatsResponse{
+	writeJSON(w, http.StatusOK, StreamStatsResponse{
 		Stream:     uint32(id),
 		Samples:    samples,
 		Detections: detections,
 		Rejected:   rejected,
-		Monitors:   make([]StreamMonitorStats, 0, len(stats)),
-	}
-	for _, st := range stats {
-		resp.Monitors = append(resp.Monitors, StreamMonitorStats{
-			Name:       st.Name,
-			Class:      st.Class.String(),
-			Tests:      st.Tests,
-			Violations: st.Violations,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Monitors:   stats,
+	})
 }
 
 // writeJSON writes v as a JSON response.

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"easig/internal/core"
 )
 
 // Policy selects what Ingest does when a shard's queue is full.
@@ -322,7 +320,7 @@ func (s *Service) DrainQueued() {
 // covers exactly the chunks enqueued before it. ok is false if the
 // stream has never sent a sample or the service is closed. On a
 // service built with NewUnstarted the request waits for DrainQueued.
-func (s *Service) StreamStats(id uint32) (stats []core.MonitorStats, samples, detections, rejected uint64, ok bool) {
+func (s *Service) StreamStats(id uint32) (stats []StreamMonitorStats, samples, detections, rejected uint64, ok bool) {
 	s.mu.RLock()
 	if s.closed || id >= uint32(s.cfg.MaxStreams) {
 		s.mu.RUnlock()

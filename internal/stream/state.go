@@ -2,17 +2,18 @@ package stream
 
 import (
 	"fmt"
+	"sort"
 
 	"easig/internal/core"
 	"easig/internal/target"
 )
 
 // streamState is the monitoring state of one plant stream: its own
-// instances of the seven Table 4 assertion monitors, a suite wrapping
-// them for accounting, and per-stream counters. A streamState is owned
-// by exactly one applier goroutine (its shard, or an Inline reference),
-// counters included: other goroutines read them only through a stats
-// request that the owning shard answers between chunks.
+// instances of the seven Table 4 assertion monitors and per-stream
+// counters. A streamState is owned by exactly one applier goroutine
+// (its shard, or an Inline reference), counters included: other
+// goroutines read them only through a stats request that the owning
+// shard answers between chunks.
 //
 // The identical apply path is what makes the observer-equivalence
 // guarantee hold by construction: the service's shards and the Inline
@@ -22,7 +23,6 @@ type streamState struct {
 	id       uint32
 	mode     int
 	monitors [NumSignals]*core.Monitor
-	suite    *core.Suite
 
 	samples  uint64
 	rejected uint64
@@ -33,7 +33,7 @@ type streamState struct {
 // the plant to repair values) and a sink that renders each violation
 // as a detection line on out.
 func newStreamState(id uint32, out *detSink) (*streamState, error) {
-	st := &streamState{id: id, suite: core.NewSuite()}
+	st := &streamState{id: id}
 	sink := core.SinkFunc(func(v core.Violation) { out.add(id, v) })
 	for k := 0; k < NumSignals; k++ {
 		m, err := target.NewSignalMonitor(k,
@@ -43,9 +43,6 @@ func newStreamState(id uint32, out *detSink) (*streamState, error) {
 			return nil, fmt.Errorf("stream %d: %w", id, err)
 		}
 		st.monitors[k] = m
-		if err := st.suite.Add(m); err != nil {
-			return nil, fmt.Errorf("stream %d: %w", id, err)
-		}
 	}
 	return st, nil
 }
@@ -94,17 +91,24 @@ func (st *streamState) trySetMode(mode int) bool {
 
 // streamStats is one stream's accounting, as its shard reports it.
 type streamStats struct {
-	monitors                      []core.MonitorStats
+	monitors                      []StreamMonitorStats
 	samples, detections, rejected uint64
 }
 
-// stats snapshots the stream's accounting; only the owner may call it.
-// Every detection is one monitor violation, so the stream's detections
-// are their sum.
+// stats snapshots the stream's accounting, one row per monitor sorted
+// by name; only the owner may call it. Every detection is one monitor
+// violation, so the stream's detections are their sum.
 func (st *streamState) stats() streamStats {
-	out := streamStats{monitors: st.suite.Stats(), samples: st.samples, rejected: st.rejected}
-	for _, m := range out.monitors {
-		out.detections += m.Violations
+	out := streamStats{monitors: make([]StreamMonitorStats, 0, NumSignals), samples: st.samples, rejected: st.rejected}
+	for _, m := range st.monitors {
+		out.monitors = append(out.monitors, StreamMonitorStats{
+			Name:       m.Name(),
+			Class:      m.Class().String(),
+			Tests:      m.Tests(),
+			Violations: m.Violations(),
+		})
+		out.detections += m.Violations()
 	}
+	sort.Slice(out.monitors, func(a, b int) bool { return out.monitors[a].Name < out.monitors[b].Name })
 	return out
 }
